@@ -7,11 +7,11 @@ refined domain and codomain, a fixed-point verdict, and diagnostics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
-from .metamodel import Metamodel, concrete_concepts
-from .transformation import Expression, Rule, Transformation
+from .metamodel import Metamodel, concrete_concepts, declaration_order
+from .transformation import ConceptRef, Rule, Transformation
 
 
 class MetamodelMismatchError(ValueError):
@@ -80,12 +80,16 @@ class AnalysisReport:
     ignored_out: frozenset[str]
     refined_domain: frozenset[str]
     refined_codomain: frozenset[str]
-    fixed_point_candidate: bool
     diagnostics: tuple[Lint, ...] = ()
 
     @property
     def source_concepts(self) -> tuple[str, ...]:
         return tuple(self.profiles)
+
+    @property
+    def fixed_point_candidate(self) -> bool:
+        """True when the report is endogenous and detect_fixed_point holds."""
+        return self.source_mm == self.target_mm and bool(detect_fixed_point(self))
 
 
 def classify_rule(rule: Rule) -> RuleClassification:
@@ -133,31 +137,42 @@ def analyze(
     unknown: list[Lint] = []
     mentioned_source: set[str] = set()
     mentioned_target: set[str] = set()
+    metamodels = {source_mm.name: source_mm, target_mm.name: target_mm}
+    # A scope maps each qualifier that may resolve to the set its mentions
+    # are recorded in. The source entry comes last so that it wins in an
+    # endogenous module; in an exogenous one, expression refs to the
+    # target metamodel resolve but count toward neither ignored set.
+    read = {target_mm.name: set(), source_mm.name: mentioned_source}
+    typed = {target_mm.name: set(), source_mm.name: set()}
+    written = {target_mm.name: mentioned_target}
 
-    def resolve(expr: Expression, owner: str, count: bool = True) -> None:
-        for ref in expr.refs:
-            if ref.metamodel == source_mm.name and ref.name in source_mm.concept_names:
-                if count:
-                    mentioned_source.add(ref.name)
-            else:
-                unknown.append(
-                    Lint(
-                        "unknown_concept",
-                        ref.qualified,
-                        f"{owner} references unknown concept '{ref.qualified}'",
-                        t.source_path,
-                        ref.line,
-                        ref.column,
-                    )
-                )
+    def resolve(ref: ConceptRef, owner: str, scope: dict[str, set[str]]) -> bool:
+        """Record a mention of ref in its scope, or lint it as unknown."""
+        if ref.metamodel in scope and ref.name in metamodels[ref.metamodel].concept_names:
+            scope[ref.metamodel].add(ref.name)
+            return True
+        unknown.append(
+            Lint(
+                "unknown_concept",
+                ref.qualified,
+                f"{owner} references unknown concept '{ref.qualified}'",
+                t.source_path,
+                ref.line,
+                ref.column,
+            )
+        )
+        return False
 
     for h in t.helpers:
+        owner = f"helper '{h.name}'"
         # Context and result type are checked for typos only; a concept
         # mentioned nowhere else stays ignored-in.
         if h.context is not None:
-            resolve(Expression("", (h.context,)), f"helper '{h.name}'", count=False)
-        resolve(h.result_type, f"helper '{h.name}'", count=False)
-        resolve(h.body, f"helper '{h.name}'")
+            resolve(h.context, owner, typed)
+        for ref in h.result_type.refs:
+            resolve(ref, owner, typed)
+        for ref in h.body.refs:
+            resolve(ref, owner, read)
 
     copy_modes: dict[str, set[Mode]] = {c: set() for c in source_concepts}
     mutation_modes: dict[str, set[Mode]] = {c: set() for c in source_concepts}
@@ -165,43 +180,16 @@ def analyze(
 
     for r in t.rules:
         owner = f"rule '{r.name}'"
-        patterns_ok = True
-
         src = r.source_concept
-        if src.name in source_mm.concept_names:
-            mentioned_source.add(src.name)
-        else:
-            patterns_ok = False
-            unknown.append(
-                Lint(
-                    "unknown_concept",
-                    src.qualified,
-                    f"{owner} references unknown concept '{src.qualified}'",
-                    t.source_path,
-                    src.line,
-                    src.column,
-                )
-            )
+        patterns_ok = resolve(src, owner, read)
         if r.guard is not None:
-            resolve(r.guard, owner)
+            for ref in r.guard.refs:
+                resolve(ref, owner, read)
         for tp in r.targets:
-            ref = tp.concept
-            if ref.metamodel == target_mm.name and ref.name in target_mm.concept_names:
-                mentioned_target.add(ref.name)
-            else:
-                patterns_ok = False
-                unknown.append(
-                    Lint(
-                        "unknown_concept",
-                        ref.qualified,
-                        f"{owner} references unknown concept '{ref.qualified}'",
-                        t.source_path,
-                        ref.line,
-                        ref.column,
-                    )
-                )
+            patterns_ok &= resolve(tp.concept, owner, written)
             for b in tp.bindings:
-                resolve(b.value, owner)
+                for ref in b.value.refs:
+                    resolve(ref, owner, read)
 
         if not patterns_ok or src.name not in copy_modes:
             continue
@@ -253,7 +241,7 @@ def analyze(
                 Lint("ignored_out", c, f"concept '{c}' appears in no target pattern")
             )
 
-    report = AnalysisReport(
+    return AnalysisReport(
         transformation=t.name,
         source_mm=source_mm.name,
         target_mm=target_mm.name,
@@ -263,12 +251,8 @@ def analyze(
         ignored_out=ignored_out,
         refined_domain=frozenset(source_concepts) - ignored_in,
         refined_codomain=frozenset(target_concepts) - ignored_out,
-        fixed_point_candidate=False,
         diagnostics=tuple(diagnostics),
     )
-    if source_mm.name == target_mm.name:
-        report = replace(report, fixed_point_candidate=bool(detect_fixed_point(report)))
-    return report
 
 
 def detect_fixed_point(report: AnalysisReport) -> FixedPointVerdict:
@@ -286,14 +270,12 @@ def detect_fixed_point(report: AnalysisReport) -> FixedPointVerdict:
             f"to '{report.target_mm}'"
         )
     if report.refined_domain != report.refined_codomain:
-        domain_only = [
-            c for c in report.source_concepts
-            if c in report.refined_domain and c not in report.refined_codomain
-        ]
-        codomain_only = [
-            c for c in report.target_concepts
-            if c in report.refined_codomain and c not in report.refined_domain
-        ]
+        domain_only = declaration_order(report.source_concepts)(
+            report.refined_domain - report.refined_codomain
+        )
+        codomain_only = declaration_order(report.target_concepts)(
+            report.refined_codomain - report.refined_domain
+        )
         parts = []
         if domain_only:
             parts.append("domain only: " + ", ".join(domain_only))

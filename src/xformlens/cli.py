@@ -14,10 +14,11 @@ import click
 from .analyzer import MetamodelMismatchError, analyze as run_analysis
 from .chain import check_chain, plan_chain
 from .lexer import ParseError
-from .metamodel import Metamodel, concrete_concepts, parse_metamodel
+from .metamodel import Metamodel, concrete_concepts, declaration_order, parse_metamodel
 from .report import (
     FORMATS,
     ignored_table,
+    lint_text,
     referenced_table,
     render,
     report_table,
@@ -46,6 +47,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         _fail(str(exc), 1)
+    except UnicodeDecodeError as exc:
+        _fail(f"{path}: not valid UTF-8 at byte {exc.start}", 1)
 
 
 def _analyze_all(metamodel_path: str, transformation_paths: tuple[str, ...]):
@@ -79,7 +82,7 @@ def _concept_set(spec: str, mm: Metamodel) -> frozenset[str]:
 
 
 def _set_text(s: frozenset[str], mm: Metamodel) -> str:
-    return ", ".join(c for c in concrete_concepts(mm) if c in s)
+    return ", ".join(declaration_order(concrete_concepts(mm))(s))
 
 
 def _write_out(text: str, out_path: str | None) -> None:
@@ -146,10 +149,7 @@ def lint(metamodel_path, transformation_paths, strict):
         for d in r.diagnostics:
             total += 1
             has_unknown = has_unknown or d.kind == "unknown_concept"
-            if d.file is not None and d.line is not None:
-                click.echo(f"{d.file}:{d.line}:{d.column}: {_paint(d.kind)}: {d.message}")
-            else:
-                click.echo(f"{r.transformation}: {_paint(d.kind)}: {d.message}")
+            click.echo(lint_text(d, kind=_paint(d.kind), fallback=r.transformation))
     if total == 0:
         click.echo("no findings")
     if strict and has_unknown:
@@ -202,6 +202,8 @@ def chain_check(metamodel_path, transformation_paths, initial_spec):
 @click.option("--max-len", "max_len", type=int, default=8, show_default=True, help="Maximum chain length.")
 def chain_plan(metamodel_path, transformation_paths, initial_spec, require_specs, forbid_specs, max_len):
     """Find a shortest transformation chain meeting the goal, or exit 3."""
+    if max_len < 0:
+        _fail("--max-len must be at least 0", 1)
     mm, reports = _analyze_all(metamodel_path, transformation_paths)
     initial = _concept_set(initial_spec, mm)
     required = frozenset().union(*(_concept_set(s, mm) for s in require_specs)) if require_specs else frozenset()

@@ -6,6 +6,7 @@ along, but only names, abstractness, and inheritance matter to analysis.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -120,34 +121,45 @@ def _validate_inheritance(
             )
 
     # Three-color DFS over the extends edges; a back edge is a cycle.
+    # Iterative, so a deep extends chain cannot exhaust the call stack.
     supers = {c.name: c.supertypes for c in concepts}
     color: dict[str, int] = {}
-    stack_path: list[str] = []
-
-    def visit(node: str) -> None:
-        color[node] = 1
-        stack_path.append(node)
-        for parent in supers[node]:
-            state = color.get(parent, 0)
-            if state == 1:
+    for c in concepts:
+        if c.name in color:
+            continue
+        color[c.name] = 1
+        stack_path = [c.name]
+        pending = [iter(c.supertypes)]
+        while pending:
+            parent = next(pending[-1], None)
+            if parent is None:
+                color[stack_path.pop()] = 2
+                pending.pop()
+            elif color.get(parent, 0) == 1:
                 cycle = stack_path[stack_path.index(parent) :] + [parent]
                 raise ts.error(
                     "inheritance cycle: " + " -> ".join(cycle),
                     decl_tokens[parent],
                 )
-            if state == 0:
-                visit(parent)
-        stack_path.pop()
-        color[node] = 2
-
-    for c in concepts:
-        if color.get(c.name, 0) == 0:
-            visit(c.name)
+            elif parent not in color:
+                color[parent] = 1
+                stack_path.append(parent)
+                pending.append(iter(supers[parent]))
 
 
 def concrete_concepts(mm: Metamodel) -> tuple[str, ...]:
     """Names of non-abstract concepts, in declaration order."""
     return tuple(c.name for c in mm.concepts if not c.abstract)
+
+
+def declaration_order(universe: Sequence[str]) -> Callable[[Collection[str]], list[str]]:
+    """Return a function listing a subset of universe in universe's order.
+
+    The name-to-index map is built once, so listing many sets against one
+    universe costs each set only its own size.
+    """
+    rank = dict(zip(universe, range(len(universe))))
+    return lambda names: sorted(names, key=rank.__getitem__)
 
 
 def pretty_print(mm: Metamodel) -> str:

@@ -12,6 +12,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .analyzer import MODE_ORDER, AnalysisReport, Lint, Mode
+from .metamodel import declaration_order
 
 FORMATS = ("markdown", "html", "latex", "json")
 
@@ -84,8 +85,8 @@ def ignored_table(reports: Sequence[AnalysisReport]) -> Table:
         rows.append(
             (
                 r.transformation,
-                ", ".join(c for c in r.source_concepts if c in r.ignored_in),
-                ", ".join(c for c in r.target_concepts if c in r.ignored_out),
+                ", ".join(declaration_order(r.source_concepts)(r.ignored_in)),
+                ", ".join(declaration_order(r.target_concepts)(r.ignored_out)),
             )
         )
     return Table(
@@ -133,24 +134,33 @@ def referenced_table(reports: Sequence[AnalysisReport]) -> Table:
 
 def report_table(report: AnalysisReport) -> Table:
     """Per-transformation summary table, diagnostics included."""
+    src = declaration_order(report.source_concepts)
+    tgt = declaration_order(report.target_concepts)
     rows = [
         ("source metamodel", report.source_mm),
         ("target metamodel", report.target_mm),
-        ("ignored in", ", ".join(c for c in report.source_concepts if c in report.ignored_in)),
-        ("ignored out", ", ".join(c for c in report.target_concepts if c in report.ignored_out)),
-        ("refined domain", ", ".join(c for c in report.source_concepts if c in report.refined_domain)),
-        ("refined codomain", ", ".join(c for c in report.target_concepts if c in report.refined_codomain)),
+        ("ignored in", ", ".join(src(report.ignored_in))),
+        ("ignored out", ", ".join(tgt(report.ignored_out))),
+        ("refined domain", ", ".join(src(report.refined_domain))),
+        ("refined codomain", ", ".join(tgt(report.refined_codomain))),
         ("fixed point candidate", "yes" if report.fixed_point_candidate else "no"),
     ]
     for d in report.diagnostics:
-        rows.append(("diagnostic", _lint_text(d)))
+        rows.append(("diagnostic", lint_text(d)))
     return Table(f"report: {report.transformation}", ("field", "value"), tuple(rows))
 
 
-def _lint_text(d: Lint) -> str:
+def lint_text(d: Lint, kind: str | None = None, fallback: str | None = None) -> str:
+    """Format a diagnostic as `file:line:column: kind: message`.
+
+    An unpositioned diagnostic is prefixed by `fallback` instead, or by
+    nothing. `kind`, when given, is shown in place of d.kind.
+    """
+    where = fallback
     if d.file is not None and d.line is not None:
-        return f"{d.file}:{d.line}:{d.column}: {d.kind}: {d.message}"
-    return f"{d.kind}: {d.message}"
+        where = f"{d.file}:{d.line}:{d.column}"
+    prefix = "" if where is None else f"{where}: "
+    return f"{prefix}{kind or d.kind}: {d.message}"
 
 
 def render(table: Table, fmt: str) -> str:
@@ -265,8 +275,8 @@ def report_to_json(report: AnalysisReport) -> dict:
     def modes(values: frozenset[Mode]) -> list[str]:
         return [m.value for m in MODE_ORDER if m in values]
 
-    src = report.source_concepts
-    tgt = report.target_concepts
+    src = declaration_order(report.source_concepts)
+    tgt = declaration_order(report.target_concepts)
     diagnostics = []
     for d in report.diagnostics:
         entry: dict = {"kind": d.kind, "subject": d.subject, "message": d.message}
@@ -281,17 +291,17 @@ def report_to_json(report: AnalysisReport) -> dict:
         "transformation": report.transformation,
         "source_mm": report.source_mm,
         "target_mm": report.target_mm,
-        "ignored_in": [c for c in src if c in report.ignored_in],
-        "ignored_out": [c for c in tgt if c in report.ignored_out],
-        "refined_domain": [c for c in src if c in report.refined_domain],
-        "refined_codomain": [c for c in tgt if c in report.refined_codomain],
+        "ignored_in": src(report.ignored_in),
+        "ignored_out": tgt(report.ignored_out),
+        "refined_domain": src(report.refined_domain),
+        "refined_codomain": tgt(report.refined_codomain),
         "fixed_point_candidate": report.fixed_point_candidate,
         "profiles": [
             {
                 "concept": c,
                 "copy_modes": modes(p.copy_modes),
                 "mutation_modes": modes(p.mutation_modes),
-                "produced_as": [n for n in tgt if n in p.produced_as],
+                "produced_as": tgt(p.produced_as),
             }
             for c, p in report.profiles.items()
         ],

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .lexer import ParseError, Token, TokenKind, TokenStream, capture_balanced
-from .metamodel import Metamodel
 
 
 @dataclass(frozen=True)
@@ -241,21 +240,3 @@ def _expression(ts: TokenStream, run: list[Token]) -> Expression:
             refs.append(ConceptRef(a.text, c.text, a.line, a.column))
     return Expression(raw, tuple(refs))
 
-
-def referenced_concepts(
-    expr: Expression, mm: Metamodel
-) -> tuple[frozenset[str], frozenset[str]]:
-    """Split an expression's refs into resolved names and unknown refs.
-
-    Returns (known concept names in mm, unresolved qualified names).
-    A ref resolves only when its qualifier equals the metamodel name and
-    the concept exists there; there is no fuzzy or unqualified matching.
-    """
-    known: set[str] = set()
-    unknown: set[str] = set()
-    for ref in expr.refs:
-        if ref.metamodel == mm.name and ref.name in mm.concept_names:
-            known.add(ref.name)
-        else:
-            unknown.add(ref.qualified)
-    return frozenset(known), frozenset(unknown)

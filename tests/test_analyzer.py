@@ -157,20 +157,64 @@ def test_unknown_source_concept_is_linted_and_skipped(pivot):
 
 
 def test_unknown_lints_are_sorted_by_position(pivot):
+    cases = [
+        (
+            "s.x.oclIsTypeOf(CPPivot!GhostTwo) and s.y.oclIsTypeOf(CPPivot!GhostOne)",
+            ["CPPivot!GhostTwo", "CPPivot!GhostOne"],
+            set(),
+        ),
+        # Only a known concept under the source qualifier resolves.
+        (
+            "s.a.oclIsTypeOf(CPPivot!Class) or s.b.oclIsTypeOf(CPPivot!Ghost)"
+            " or s.c.oclIsTypeOf(Other!Class)",
+            ["CPPivot!Ghost", "Other!Class"],
+            {"Class"},
+        ),
+    ]
+    for guard, subjects, resolved in cases:
+        body = (
+            "rule A {\n"
+            "\tfrom\n"
+            f"\t\ts : CPPivot!Variable (\n\t\t\t{guard}\n\t\t)\n"
+            "\tto\n"
+            "\t\tt : CPPivot!Variable()\n"
+            "}"
+        )
+        report = analyze(parse_transformation(wrap_rules(body)), pivot, pivot)
+        unknown = [d for d in report.diagnostics if d.kind == "unknown_concept"]
+        assert [d.subject for d in unknown] == subjects
+        assert (unknown[0].line, unknown[0].column) < (unknown[1].line, unknown[1].column)
+        assert not resolved & report.ignored_in
+
+
+def test_exogenous_refs_to_the_target_metamodel_resolve_but_count_for_nothing():
+    source = parse_metamodel("metamodel A { class P {} class Q {} }")
+    target = parse_metamodel("metamodel B { class Q {} class S {} }")
     body = (
-        "rule A {\n"
+        "rule P {\n"
         "\tfrom\n"
-        "\t\ts : CPPivot!Variable (\n"
-        "\t\t\ts.x.oclIsTypeOf(CPPivot!GhostTwo) and s.y.oclIsTypeOf(CPPivot!GhostOne)\n"
-        "\t\t)\n"
+        "\t\ts : A!P\n"
         "\tto\n"
-        "\t\tt : CPPivot!Variable()\n"
+        "\t\tt : B!S (\n"
+        "\t\t\tx <- s.y.oclIsKindOf(B!Q)\n"
+        "\t\t)\n"
+        "}\n\n"
+        "rule P2 {\n"
+        "\tfrom\n"
+        "\t\ts : A!P\n"
+        "\tto\n"
+        "\t\tt : A!P()\n"
         "}"
     )
-    report = analyze(parse_transformation(wrap_rules(body)), pivot, pivot)
-    unknown = [d for d in report.diagnostics if d.kind == "unknown_concept"]
-    assert [d.subject for d in unknown] == ["CPPivot!GhostTwo", "CPPivot!GhostOne"]
-    assert (unknown[0].line, unknown[0].column) < (unknown[1].line, unknown[1].column)
+    t = parse_transformation(wrap_rules(body, source_mm="A", target_mm="B"))
+    report = analyze(t, source, target)
+    unknown = [d.subject for d in report.diagnostics if d.kind == "unknown_concept"]
+    # Target patterns must still name the target metamodel.
+    assert unknown == ["A!P"]
+    assert report.ignored_in == frozenset({"Q"})
+    assert report.ignored_out == frozenset({"Q"})
+    assert report.profiles["P"].produced_as == frozenset({"S"})
+    assert not report.profiles["P"].copy_modes
 
 
 def test_helper_body_counts_toward_mentions_but_type_does_not(pivot):

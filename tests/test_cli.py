@@ -100,6 +100,14 @@ def test_analyze_missing_file_fails_cleanly(runner, tmp_path):
     assert result.stderr.startswith("error: ")
 
 
+def test_analyze_non_utf8_file_fails_with_byte_offset(runner, corpus_args, tmp_path):
+    bad = tmp_path / "bad.cmm"
+    bad.write_bytes(b"metamodel M { class \xff {} }")
+    result = runner.invoke(main, ["analyze", str(bad), corpus_args[1]])
+    assert result.exit_code == 1
+    assert result.stderr == f"error: {bad}: not valid UTF-8 at byte 20\n"
+
+
 def test_analyze_parse_error_reports_position(runner, corpus_args, tmp_path):
     bad = tmp_path / "bad.tfm"
     bad.write_text("module broken\n", encoding="utf-8")
@@ -280,6 +288,13 @@ def test_chain_plan_rejects_overlapping_goals(runner, corpus_args):
     )
     assert result.exit_code == 1
     assert "error: " in result.stderr
+
+
+def test_chain_plan_rejects_negative_max_len(runner, corpus_args):
+    result = runner.invoke(main, ["chain-plan", *corpus_args, "--max-len", "-3"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: --max-len must be at least 0\n"
 
 
 def test_chain_plan_zero_steps(runner, corpus_args):

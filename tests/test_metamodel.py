@@ -90,6 +90,14 @@ def test_inheritance_cycle_is_rejected():
     assert "A -> B -> A" in message or "B -> A -> B" in message
 
 
+def test_deep_child_first_extends_chain_parses():
+    depth = 3000
+    classes = " ".join(f"class C{i} extends C{i + 1} {{}}" for i in range(depth - 1))
+    mm = parse_metamodel(f"metamodel M {{ {classes} class C{depth - 1} {{}} }}")
+    assert len(mm.concepts) == depth
+    assert mm.concept("C0").supertypes == ("C1",)
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse_metamodel("metamodel M {\n  class 7 {}\n}", path="bad.cmm")

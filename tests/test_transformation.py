@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from xformlens import ParseError, parse_transformation, referenced_concepts
+from xformlens import ParseError, parse_transformation
 
 from helpers import (
     LAZY_PARENT_STUB,
@@ -160,24 +160,6 @@ def test_expression_refs_require_qualifier_shape():
     assert guard.referenced_concepts == frozenset(
         {"CPPivot!Class", "Other!Ghost"}
     )
-
-
-def test_referenced_concepts_splits_known_and_unknown(pivot):
-    body = (
-        "rule Probe {\n"
-        "\tfrom\n"
-        "\t\ts : CPPivot!Variable (\n"
-        "\t\t\ts.a.oclIsTypeOf(CPPivot!Class) or s.b.oclIsTypeOf(CPPivot!Ghost)"
-        " or s.c.oclIsTypeOf(Other!Class)\n"
-        "\t\t)\n"
-        "\tto\n"
-        "\t\tt : CPPivot!Variable()\n"
-        "}"
-    )
-    guard = parse_transformation(wrap_rules(body)).rule("Probe").guard
-    known, unknown = referenced_concepts(guard, pivot)
-    assert known == frozenset({"Class"})
-    assert unknown == frozenset({"CPPivot!Ghost", "Other!Class"})
 
 
 def test_rule_lookup_raises_on_unknown():
