@@ -205,6 +205,12 @@ def chain_plan(metamodel_path, transformation_paths, initial_spec, require_specs
     if max_len < 0:
         _fail("--max-len must be at least 0", 1)
     mm, reports = _analyze_all(metamodel_path, transformation_paths)
+    # Plan steps are named by module, so the names must tell the files apart.
+    seen: dict[str, str] = {}
+    for path, r in zip(transformation_paths, reports):
+        if r.transformation in seen:
+            _fail(f"duplicate transformation name '{r.transformation}': {seen[r.transformation]} and {path}", 1)
+        seen[r.transformation] = path
     initial = _concept_set(initial_spec, mm)
     required = frozenset().union(*(_concept_set(s, mm) for s in require_specs)) if require_specs else frozenset()
     forbidden = frozenset().union(*(_concept_set(s, mm) for s in forbid_specs)) if forbid_specs else frozenset()

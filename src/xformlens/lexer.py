@@ -1,15 +1,13 @@
 """Shared tokenizer and token cursor for the two analysis DSLs.
 
-Both the metamodel dialect (.cmm) and the transformation dialect (.tfm)
-use the same lexical shape: identifiers, integers, single-quoted strings,
-punctuation (with the two-character arrows ``<-``/``->`` and the range
-``..``), and ``--`` line comments. OCL-style expressions are not lexed
+The metamodel (.cmm) and transformation (.tfm) dialects share the
+lexical shape given by `_TOKEN`. OCL-style expressions are not lexed
 into a grammar of their own; parsers capture them as balanced token runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
+import re
+from typing import NamedTuple
 
 
 class ParseError(Exception):
@@ -24,98 +22,60 @@ class ParseError(Exception):
         self.path = path
 
 
-class TokenKind(Enum):
-    IDENT = "identifier"
-    INT = "integer"
-    STRING = "string"
-    SYMBOL = "symbol"
-    EOF = "end of input"
+class Token(NamedTuple):
+    """One token; `kind` is "ident", "int", "string", "symbol" or "eof"."""
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: TokenKind
+    kind: str
     text: str
     line: int
     column: int
     offset: int
 
     def describe(self) -> str:
-        if self.kind is TokenKind.EOF:
+        if self.kind == "eof":
             return "end of input"
         return f"'{self.text}'"
 
 
-_TWO_CHAR_SYMBOLS = ("<-", "->", "..")
+# Blanks and comments are skipped before every token; the named group
+# that matches is the token's kind. A quote that does not close on its
+# own line matches `unterminated`. `--` is tried before `-`, so `-->`
+# is a comment, while `<--` is `<-` followed by `-`.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|--[^\n]*)*"
+    r"(?:(?P<ident>[^\W\d]\w*)"
+    r"|(?P<int>\d+)"
+    r"|(?P<string>'[^'\n]*')"
+    r"|(?P<unterminated>')"
+    r"|(?P<symbol><-|->|\.\.|.)"
+    r"|(?P<eof>\Z))"
+)
 
 
 def tokenize(source: str, path: str | None = None) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("--", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            tokens.append(Token(TokenKind.IDENT, text, line, col, start))
-            col += len(text)
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            text = source[start:i]
-            tokens.append(Token(TokenKind.INT, text, line, col, start))
-            col += len(text)
-            continue
-        if ch == "'":
-            start = i
-            i += 1
-            while i < n and source[i] not in ("'", "\n"):
-                i += 1
-            if i >= n or source[i] != "'":
-                raise ParseError("unterminated string literal", line, col, path)
-            i += 1
-            text = source[start:i]
-            tokens.append(Token(TokenKind.STRING, text, line, col, start))
-            col += len(text)
-            continue
-        two = source[i : i + 2]
-        if two in _TWO_CHAR_SYMBOLS:
-            tokens.append(Token(TokenKind.SYMBOL, two, line, col, i))
-            i += 2
-            col += 2
-            continue
-        tokens.append(Token(TokenKind.SYMBOL, ch, line, col, i))
-        i += 1
-        col += 1
-    tokens.append(Token(TokenKind.EOF, "", line, col, n))
-    return tokens
+    line, line_start, pos = 1, 0, 0
+    while True:
+        m = _TOKEN.match(source, pos)
+        kind = m.lastgroup
+        start = m.start(kind)
+        line += source.count("\n", pos, start)
+        line_start = max(line_start, source.rfind("\n", pos, start) + 1)
+        column = start - line_start + 1
+        if kind == "unterminated":
+            raise ParseError("unterminated string literal", line, column, path)
+        tokens.append(Token(kind, m.group(kind), line, column, start))
+        if kind == "eof":
+            return tokens
+        pos = m.end()
 
 
 class TokenStream:
-    """Cursor over a token list with expect/accept helpers.
+    """Cursor over a token list that matches keywords and punctuation by text.
 
-    Keywords are contextual: parsers match them with expect_word/accept_word
-    against IDENT tokens, so keyword spellings stay usable as plain names.
+    Tokens of different kinds never share a text, so `at("class")` only
+    matches an identifier and `at("{")` only a symbol. Keywords are
+    contextual: their spellings stay usable as plain names.
     """
 
     def __init__(self, source: str, path: str | None = None):
@@ -124,56 +84,37 @@ class TokenStream:
         self.tokens = tokenize(source, path)
         self.pos = 0
 
-    def peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind is not TokenKind.EOF:
+        if tok.kind != "eof":
             self.pos += 1
         return tok
 
-    def at_symbol(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind is TokenKind.SYMBOL and tok.text == text
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos].text == text
 
-    def at_word(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind is TokenKind.IDENT and tok.text == text
-
-    def accept_symbol(self, text: str) -> bool:
-        if self.at_symbol(text):
+    def accept(self, text: str) -> bool:
+        if self.at(text):
             self.advance()
             return True
         return False
 
-    def accept_word(self, text: str) -> bool:
-        if self.at_word(text):
-            self.advance()
-            return True
-        return False
-
-    def expect_symbol(self, text: str) -> Token:
-        if not self.at_symbol(text):
-            raise self.error(f"expected '{text}', found {self.peek().describe()}")
-        return self.advance()
-
-    def expect_word(self, text: str) -> Token:
-        if not self.at_word(text):
+    def expect(self, text: str) -> Token:
+        if not self.at(text):
             raise self.error(f"expected '{text}', found {self.peek().describe()}")
         return self.advance()
 
     def expect_ident(self, what: str = "identifier") -> Token:
-        tok = self.peek()
-        if tok.kind is not TokenKind.IDENT:
-            raise self.error(f"expected {what}, found {tok.describe()}")
+        if self.peek().kind != "ident":
+            raise self.error(f"expected {what}, found {self.peek().describe()}")
         return self.advance()
 
     def expect_eof(self) -> None:
-        tok = self.peek()
-        if tok.kind is not TokenKind.EOF:
-            raise self.error(f"expected end of input, found {tok.describe()}")
+        if self.peek().kind != "eof":
+            raise self.error(f"expected end of input, found {self.peek().describe()}")
 
     def error(self, message: str, token: Token | None = None) -> ParseError:
         tok = token if token is not None else self.peek()
@@ -181,10 +122,6 @@ class TokenStream:
 
     def slice(self, first: Token, last: Token) -> str:
         return self.source[first.offset : last.offset + len(last.text)]
-
-
-_OPENERS = {"(": ")", "[": "]", "{": "}"}
-_CLOSERS = {")", "]", "}"}
 
 
 def capture_balanced(ts: TokenStream, stops: frozenset[str], what: str) -> list[Token]:
@@ -197,17 +134,16 @@ def capture_balanced(ts: TokenStream, stops: frozenset[str], what: str) -> list[
     depth = 0
     while True:
         tok = ts.peek()
-        if tok.kind is TokenKind.EOF:
+        if tok.kind == "eof":
             raise ts.error(f"unterminated {what}")
-        if tok.kind is TokenKind.SYMBOL:
-            if depth == 0 and tok.text in stops:
-                break
-            if tok.text in _OPENERS:
-                depth += 1
-            elif tok.text in _CLOSERS:
-                depth -= 1
-                if depth < 0:
-                    raise ts.error(f"unbalanced '{tok.text}' in {what}")
+        if depth == 0 and tok.text in stops:
+            break
+        if tok.text in ("(", "[", "{"):
+            depth += 1
+        elif tok.text in (")", "]", "}"):
+            depth -= 1
+            if depth < 0:
+                raise ts.error(f"unbalanced '{tok.text}' in {what}")
         collected.append(ts.advance())
     if not collected:
         raise ts.error(f"expected {what}")

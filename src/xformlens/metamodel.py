@@ -53,33 +53,33 @@ def parse_metamodel(source_text: str, *, path: str | None = None) -> Metamodel:
     concept names, unknown supertypes, and inheritance cycles.
     """
     ts = TokenStream(source_text, path)
-    ts.expect_word("metamodel")
+    ts.expect("metamodel")
     name = ts.expect_ident("metamodel name").text
-    ts.expect_symbol("{")
+    ts.expect("{")
 
     concepts: list[Concept] = []
     decl_tokens: dict[str, Token] = {}
     super_tokens: list[tuple[str, Token]] = []
-    while not ts.accept_symbol("}"):
-        abstract = ts.accept_word("abstract")
-        ts.expect_word("class")
+    while not ts.accept("}"):
+        abstract = ts.accept("abstract")
+        ts.expect("class")
         name_tok = ts.expect_ident("class name")
         if name_tok.text in decl_tokens:
             raise ts.error(f"duplicate concept name '{name_tok.text}'", name_tok)
         decl_tokens[name_tok.text] = name_tok
 
         supertypes: list[str] = []
-        if ts.accept_word("extends"):
+        if ts.accept("extends"):
             while True:
                 st = ts.expect_ident("supertype name")
                 supertypes.append(st.text)
                 super_tokens.append((name_tok.text, st))
-                if not ts.accept_symbol(","):
+                if not ts.accept(","):
                     break
 
-        ts.expect_symbol("{")
+        ts.expect("{")
         features: list[Feature] = []
-        while not ts.accept_symbol("}"):
+        while not ts.accept("}"):
             features.append(_parse_feature(ts))
         concepts.append(
             Concept(name_tok.text, abstract, tuple(supertypes), tuple(features))
@@ -92,18 +92,18 @@ def parse_metamodel(source_text: str, *, path: str | None = None) -> Metamodel:
 
 def _parse_feature(ts: TokenStream) -> Feature:
     tok = ts.peek()
-    if not (ts.at_word("attr") or ts.at_word("ref")):
+    if not (ts.at("attr") or ts.at("ref")):
         raise ts.error(f"expected 'attr', 'ref', or '}}', found {tok.describe()}")
     kind = ts.advance().text
     fname = ts.expect_ident("feature name").text
-    ts.expect_symbol(":")
+    ts.expect(":")
     ftype = ts.expect_ident("feature type").text
     multiplicity = None
-    if ts.accept_symbol("["):
+    if ts.accept("["):
         run = capture_balanced(ts, frozenset("]"), "multiplicity")
         multiplicity = ts.slice(run[0], run[-1])
-        ts.expect_symbol("]")
-    ts.expect_symbol(";")
+        ts.expect("]")
+    ts.expect(";")
     return Feature(kind, fname, ftype, multiplicity)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lexer import ParseError, Token, TokenKind, TokenStream, capture_balanced
+from .lexer import ParseError, Token, TokenStream, capture_balanced
 
 
 @dataclass(frozen=True)
@@ -98,28 +98,28 @@ def parse_transformation(
     diagnostics instead.
     """
     ts = TokenStream(source_text, path)
-    ts.expect_word("module")
+    ts.expect("module")
     name = ts.expect_ident("module name").text
-    ts.expect_symbol(";")
+    ts.expect(";")
 
-    ts.expect_word("create")
+    ts.expect("create")
     ts.expect_ident("target model name")
-    ts.expect_symbol(":")
+    ts.expect(":")
     target_mm = ts.expect_ident("target metamodel name").text
-    ts.expect_word("from")
+    ts.expect("from")
     ts.expect_ident("source model name")
-    ts.expect_symbol(":")
+    ts.expect(":")
     source_mm = ts.expect_ident("source metamodel name").text
-    ts.expect_symbol(";")
+    ts.expect(";")
 
     helpers: list[Helper] = []
-    while ts.at_word("helper"):
+    while ts.at("helper"):
         helpers.append(_parse_helper(ts))
 
     rules: list[Rule] = []
     seen: dict[str, Token] = {}
     parent_refs: list[Token] = []
-    while ts.at_word("rule") or ts.at_word("lazy"):
+    while ts.at("rule") or ts.at("lazy"):
         rule, name_tok, parent_tok = _parse_rule(ts)
         if rule.name in seen:
             raise ts.error(f"duplicate rule name '{rule.name}'", name_tok)
@@ -148,47 +148,47 @@ def parse_transformation(
 
 
 def _parse_helper(ts: TokenStream) -> Helper:
-    ts.expect_word("helper")
+    ts.expect("helper")
     context = None
-    if ts.accept_word("context"):
+    if ts.accept("context"):
         context = _parse_qref(ts)
-    ts.expect_word("def")
-    ts.expect_symbol(":")
+    ts.expect("def")
+    ts.expect(":")
     name = ts.expect_ident("helper name").text
-    ts.expect_symbol(":")
+    ts.expect(":")
     type_run = capture_balanced(ts, frozenset({"="}), "helper result type")
     result_type = _expression(ts, type_run)
-    ts.expect_symbol("=")
+    ts.expect("=")
     body_run = capture_balanced(ts, frozenset({";"}), "helper body")
     body = _expression(ts, body_run)
-    ts.expect_symbol(";")
+    ts.expect(";")
     return Helper(name, result_type, body, context)
 
 
 def _parse_rule(ts: TokenStream) -> tuple[Rule, Token, Token | None]:
-    lazy = ts.accept_word("lazy")
-    ts.expect_word("rule")
+    lazy = ts.accept("lazy")
+    ts.expect("rule")
     name_tok = ts.expect_ident("rule name")
     parent_tok = None
-    if ts.accept_word("extends"):
+    if ts.accept("extends"):
         parent_tok = ts.expect_ident("parent rule name")
-    ts.expect_symbol("{")
+    ts.expect("{")
 
-    ts.expect_word("from")
+    ts.expect("from")
     source_var = ts.expect_ident("source variable name").text
-    ts.expect_symbol(":")
+    ts.expect(":")
     source_concept = _parse_qref(ts)
     guard = None
-    if ts.accept_symbol("("):
+    if ts.accept("("):
         run = capture_balanced(ts, frozenset({")"}), "guard expression")
         guard = _expression(ts, run)
-        ts.expect_symbol(")")
+        ts.expect(")")
 
-    ts.expect_word("to")
+    ts.expect("to")
     targets = [_parse_target(ts)]
-    while ts.accept_symbol(","):
+    while ts.accept(","):
         targets.append(_parse_target(ts))
-    ts.expect_symbol("}")
+    ts.expect("}")
 
     rule = Rule(
         name_tok.text,
@@ -204,25 +204,25 @@ def _parse_rule(ts: TokenStream) -> tuple[Rule, Token, Token | None]:
 
 def _parse_target(ts: TokenStream) -> TargetPattern:
     var = ts.expect_ident("target variable name").text
-    ts.expect_symbol(":")
+    ts.expect(":")
     concept = _parse_qref(ts)
-    ts.expect_symbol("(")
+    ts.expect("(")
     bindings: list[Binding] = []
-    if not ts.at_symbol(")"):
+    if not ts.at(")"):
         while True:
             feature = ts.expect_ident("feature name").text
-            ts.expect_symbol("<-")
+            ts.expect("<-")
             run = capture_balanced(ts, frozenset({",", ")"}), "binding expression")
             bindings.append(Binding(feature, _expression(ts, run)))
-            if not ts.accept_symbol(","):
+            if not ts.accept(","):
                 break
-    ts.expect_symbol(")")
+    ts.expect(")")
     return TargetPattern(var, concept, tuple(bindings))
 
 
 def _parse_qref(ts: TokenStream) -> ConceptRef:
     mm_tok = ts.expect_ident("metamodel name")
-    ts.expect_symbol("!")
+    ts.expect("!")
     name_tok = ts.expect_ident("concept name")
     return ConceptRef(mm_tok.text, name_tok.text, mm_tok.line, mm_tok.column)
 
@@ -231,12 +231,7 @@ def _expression(ts: TokenStream, run: list[Token]) -> Expression:
     raw = ts.slice(run[0], run[-1])
     refs = []
     for a, b, c in zip(run, run[1:], run[2:]):
-        if (
-            a.kind is TokenKind.IDENT
-            and b.kind is TokenKind.SYMBOL
-            and b.text == "!"
-            and c.kind is TokenKind.IDENT
-        ):
+        if a.kind == "ident" and b.text == "!" and c.kind == "ident":
             refs.append(ConceptRef(a.text, c.text, a.line, a.column))
     return Expression(raw, tuple(refs))
 

@@ -297,6 +297,23 @@ def test_chain_plan_rejects_negative_max_len(runner, corpus_args):
     assert result.stderr == "error: --max-len must be at least 0\n"
 
 
+def test_chain_plan_rejects_duplicate_transformation_names(runner, corpus_args, tmp_path):
+    base = corpus_dir()
+    clash = tmp_path / "enumRemovalCopy.tfm"
+    text = (base / "enumRemoval.tfm").read_text(encoding="utf-8")
+    clash.write_text(text.replace("module enumRemoval;", "module recordRemoval;"), encoding="utf-8")
+    real = str(base / "recordRemoval.tfm")
+    result = runner.invoke(
+        main,
+        ["chain-plan", corpus_args[0], real, str(clash), "--forbid", "Record,EnumLiteral"],
+    )
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"error: duplicate transformation name 'recordRemoval': {real} and {clash}\n"
+    )
+
+
 def test_chain_plan_zero_steps(runner, corpus_args):
     result = runner.invoke(main, ["chain-plan", *corpus_args, "--require", "Model"])
     assert result.exit_code == 0

@@ -1,0 +1,129 @@
+"""Shared lexer: token kinds, positions, comments, and contextual keywords."""
+from __future__ import annotations
+
+import pytest
+
+from xformlens import ParseError, parse_metamodel, parse_transformation
+from xformlens.lexer import tokenize
+
+
+def stream(source):
+    return [(t.kind, t.text, t.line, t.column, t.offset) for t in tokenize(source)]
+
+
+def texts(source):
+    return [t.text for t in tokenize(source)]
+
+
+def test_every_kind():
+    assert stream("abc _x1 42 'a b' ;") == [
+        ("ident", "abc", 1, 1, 0),
+        ("ident", "_x1", 1, 5, 4),
+        ("int", "42", 1, 9, 8),
+        ("string", "'a b'", 1, 12, 11),
+        ("symbol", ";", 1, 18, 17),
+        ("eof", "", 1, 19, 18),
+    ]
+
+
+def test_identifiers_and_integers_split_where_the_word_starts():
+    assert stream("1a a1 é_2") == [
+        ("int", "1", 1, 1, 0),
+        ("ident", "a", 1, 2, 1),
+        ("ident", "a1", 1, 4, 3),
+        ("ident", "é_2", 1, 7, 6),
+        ("eof", "", 1, 10, 9),
+    ]
+
+
+def test_two_character_symbols():
+    assert texts("a<-b->c..d") == ["a", "<-", "b", "->", "c", "..", "d", ""]
+    assert texts("<->...!") == ["<-", ">", "..", ".", "!", ""]
+
+
+def test_double_dash_starts_a_comment_even_before_an_arrow_head():
+    assert stream("a --> b\nc") == [
+        ("ident", "a", 1, 1, 0),
+        ("ident", "c", 2, 1, 8),
+        ("eof", "", 2, 2, 9),
+    ]
+
+
+def test_left_arrow_then_dash_is_not_a_comment():
+    assert texts("a <-- b") == ["a", "<-", "-", "b", ""]
+    assert texts("a <--- b\nc") == ["a", "<-", "c", ""]
+
+
+def test_crlf_and_tab_columns():
+    assert stream("a\r\n\tb\r\n  c\t;") == [
+        ("ident", "a", 1, 1, 0),
+        ("ident", "b", 2, 2, 4),
+        ("ident", "c", 3, 3, 9),
+        ("symbol", ";", 3, 5, 11),
+        ("eof", "", 3, 6, 12),
+    ]
+
+
+@pytest.mark.parametrize(
+    "source, line, column",
+    [("x\n  'abc", 2, 3), ("x\n  'abc\n'", 2, 3), ("'ok' '", 1, 6)],
+)
+def test_unterminated_string_is_reported_at_its_quote(source, line, column):
+    with pytest.raises(ParseError) as exc:
+        tokenize(source, "probe.tfm")
+    assert exc.value.message == "unterminated string literal"
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value) == f"probe.tfm:{line}:{column}: unterminated string literal"
+
+
+def test_keyword_spellings_are_names_in_metamodels():
+    mm = parse_metamodel(
+        "metamodel metamodel { class class {} "
+        "abstract class abstract extends class { attr attr : ref; } }"
+    )
+    assert mm.name == "metamodel"
+    assert [c.name for c in mm.concepts] == ["class", "abstract"]
+    abstract = mm.concept("abstract")
+    assert abstract.abstract
+    assert abstract.supertypes == ("class",)
+    feature = abstract.features[0]
+    assert (feature.kind, feature.name, feature.type_name) == ("attr", "attr", "ref")
+
+
+def test_keyword_spellings_are_names_in_transformations():
+    t = parse_transformation(
+        "module rule;\n"
+        "create OUT : M from IN : M;\n"
+        "rule rule { from s : M!rule to t : M!rule() }\n"
+        "lazy rule to extends rule {\n"
+        "  from from : M!rule\n"
+        "  to to : M!lazy(helper <- from.to)\n"
+        "}\n"
+    )
+    assert t.name == "rule"
+    assert [r.name for r in t.rules] == ["rule", "to"]
+    lazy = t.rule("to")
+    assert lazy.lazy
+    assert lazy.parent_rule == "rule"
+    assert lazy.source_var == "from"
+    assert lazy.targets[0].var == "to"
+    assert lazy.targets[0].concept.qualified == "M!lazy"
+    binding = lazy.targets[0].bindings[0]
+    assert (binding.feature, binding.value.raw) == ("helper", "from.to")
+
+
+def test_end_of_input_after_a_trailing_comment_is_at_the_true_end():
+    assert stream("a -- c") == [("ident", "a", 1, 1, 0), ("eof", "", 1, 7, 6)]
+    with pytest.raises(ParseError) as exc:
+        parse_metamodel("metamodel M { -- c")
+    assert str(exc.value) == "1:19: expected 'class', found end of input"
+
+
+def test_non_decimal_numeric_characters_begin_identifiers():
+    assert stream("²x ½ 1²") == [
+        ("ident", "²x", 1, 1, 0),
+        ("ident", "½", 1, 4, 3),
+        ("int", "1", 1, 6, 5),
+        ("ident", "²", 1, 7, 6),
+        ("eof", "", 1, 8, 7),
+    ]

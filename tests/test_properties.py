@@ -7,6 +7,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from xformlens import (
+    ParseError,
     Table,
     analyze,
     concrete_concepts,
@@ -19,6 +20,7 @@ from xformlens import (
     report_to_json,
     table_from_json,
 )
+from xformlens.lexer import tokenize
 
 from helpers import (
     naive_profiles,
@@ -179,3 +181,54 @@ def test_table_json_round_trip_is_lossless(title, arity, raw_rows):
         first = render(table, fmt)
         assert first == render(table, fmt)
         assert first.endswith("\n")
+
+
+# Arbitrary text, and text drawn from the characters the lexer treats
+# specially, where blanks, comments and arrows meet far more often.
+_LEXICAL = " \t\r\n-<>.'!(;a_1²½é"
+
+
+@given(st.text() | st.text(alphabet=_LEXICAL))
+@settings(deadline=None)
+def test_tokens_tile_the_source(source):
+    try:
+        tokens = tokenize(source)
+    except ParseError:
+        return
+    end = 0
+    for tok in tokens:
+        assert source.startswith(tok.text, tok.offset)
+        assert tok.line == source.count("\n", 0, tok.offset) + 1
+        assert tok.column == tok.offset - source.rfind("\n", 0, tok.offset)
+        # Between two tokens there are only blanks and `--` comments.
+        gap = source[end : tok.offset].split("\n")
+        for piece in gap[:-1]:
+            rest = piece.lstrip(" \t\r")
+            assert rest == "" or rest.startswith("--")
+        last = gap[-1].lstrip(" \t\r")
+        assert last == "" or (tok.kind == "eof" and last.startswith("--"))
+        assert tok.text or tok.kind == "eof"
+        end = tok.offset + len(tok.text)
+    assert [t.kind for t in tokens].count("eof") == 1
+    assert tokens[-1].kind == "eof"
+    assert tokens[-1].offset == len(source)
+
+
+# Token spellings of both dialects, so that generated inputs get past the
+# first keyword and reach the deeper parse paths.
+_WORDS = (
+    "metamodel", "class", "abstract", "extends", "attr", "ref", "module",
+    "create", "from", "helper", "context", "def", "rule", "lazy", "to",
+    "M", "x", "1", "'s'", "'", "{", "}", "(", ")", "[", "]", ";", ":", ",",
+    "!", "=", "<-", "..", "-- c\n",
+)
+
+
+@given(st.text() | st.lists(st.sampled_from(_WORDS), max_size=40).map(" ".join))
+@settings(deadline=None)
+def test_parsers_return_or_raise_parse_error(source):
+    for parse in (parse_metamodel, parse_transformation):
+        try:
+            parse(source)
+        except ParseError:
+            pass

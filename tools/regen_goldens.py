@@ -10,7 +10,11 @@ byte, so regenerating them is a deliberate act, not part of the build.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
+
+# Import the package from this checkout, installed or not.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from xformlens import (
     analyze,
