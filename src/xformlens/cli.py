@@ -1,29 +1,20 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 parse or I/O error, 2 strict run with
+Exit codes: 0 success, 1 usage, parse or I/O error, 2 strict run with
 unknown_concept diagnostics, 3 no chain plan found.
 """
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
-
-import click
 
 from .analyzer import MetamodelMismatchError, analyze as run_analysis
 from .chain import check_chain, plan_chain
 from .lexer import ParseError
 from .metamodel import Metamodel, concrete_concepts, declaration_order, parse_metamodel
-from .report import (
-    FORMATS,
-    ignored_table,
-    lint_text,
-    referenced_table,
-    render,
-    report_table,
-    report_to_json,
-)
+from .report import FORMATS, ignored_table, lint_text, referenced_table, render, report_table, report_to_json
 from .transformation import parse_transformation
 
 _KIND_COLORS = {
@@ -35,13 +26,11 @@ _KIND_COLORS = {
 
 
 def _fail(message: str, code: int):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     raise SystemExit(code)
 
 
 def _read(path: str) -> str:
-    # Files are opened by hand so a missing path is a normal I/O error
-    # (exit 1), not an argument-validation error.
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
@@ -87,7 +76,7 @@ def _set_text(s: frozenset[str], mm: Metamodel) -> str:
 
 def _write_out(text: str, out_path: str | None) -> None:
     if out_path is None:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
         return
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -102,24 +91,62 @@ def _paint(kind: str) -> str:
     return kind
 
 
-@click.group()
-def main():
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `error:` line with exit 1."""
+
+    def error(self, message: str):
+        _fail(message, 1)
+
+
+COMMANDS: dict[str, tuple] = {}
+_STRICT = ("--strict", dict(action="store_true", help="Exit 2 when any unknown_concept diagnostic fires."))
+_INITIAL = ("--initial", dict(dest="initial_spec", metavar="CONCEPTS", default="ALL",
+                              help="Comma-separated concrete concepts, or ALL (the default)."))
+
+
+def _command(name: str, *options: tuple[str, dict]):
+    """Register a command taking a metamodel path, transformation paths and `options`."""
+    def register(fn):
+        COMMANDS[name] = (fn, options)
+        return fn
+    return register
+
+
+def main(argv: list[str] | None = None) -> None:
     """Static analyzer for rule-based model transformations."""
+    argv = sys.argv[1:] if argv is None else argv
+    name = argv[0] if argv else None
+    if name not in COMMANDS:
+        # Options may sit between the paths, which subparsers reject, so
+        # the top level only names the commands: it prints help or fails.
+        top = _Parser(prog="xformlens", description=main.__doc__, allow_abbrev=False)
+        top.add_argument("command", choices=COMMANDS)
+        top.parse_args(argv[:1])
+    fn, options = COMMANDS[name]
+    parser = _Parser(prog=f"xformlens {name}", description=fn.__doc__, allow_abbrev=False)
+    parser.add_argument("metamodel_path")
+    parser.add_argument("transformation_paths", nargs="+")
+    for flag, spec in options:
+        parser.add_argument(flag, **spec)
+    args = parser.parse_intermixed_args(argv[1:])
+    try:
+        code = fn(**vars(args))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone. Point stdout at devnull so the flush at exit
+        # cannot fail again (the "Note on SIGPIPE" in the `signal` docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    if code:
+        raise SystemExit(code)
 
 
-@main.command()
-@click.argument("metamodel_path")
-@click.argument("transformation_paths", nargs=-1, required=True)
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(FORMATS),
-    default="markdown",
-    show_default=True,
-    help="Output format for the tables and per-transformation reports.",
+@_command(
+    "analyze",
+    ("--format", dict(dest="fmt", choices=FORMATS, default="markdown", help="Output format (default: %(default)s).")),
+    ("--out", dict(dest="out_path", metavar="PATH", help="Write to this file instead of stdout.")),
+    _STRICT,
 )
-@click.option("--out", "out_path", default=None, help="Write to this file instead of stdout.")
-@click.option("--strict", is_flag=True, help="Exit 2 when any unknown_concept diagnostic fires.")
 def analyze(metamodel_path, transformation_paths, fmt, out_path, strict):
     """Analyze transformations and render ignored/referenced tables."""
     mm, reports = _analyze_all(metamodel_path, transformation_paths)
@@ -130,77 +157,50 @@ def analyze(metamodel_path, transformation_paths, fmt, out_path, strict):
         parts.extend(render(report_table(r), fmt) for r in reports)
         text = "\n".join(parts)
     _write_out(text, out_path)
-    if strict and any(
-        d.kind == "unknown_concept" for r in reports for d in r.diagnostics
-    ):
-        raise SystemExit(2)
+    if strict and any(d.kind == "unknown_concept" for r in reports for d in r.diagnostics):
+        return 2
 
 
-@main.command()
-@click.argument("metamodel_path")
-@click.argument("transformation_paths", nargs=-1, required=True)
-@click.option("--strict", is_flag=True, help="Exit 2 when any unknown_concept diagnostic fires.")
+@_command("lint", _STRICT)
 def lint(metamodel_path, transformation_paths, strict):
     """List diagnostics, one line each; print 'no findings' when clean."""
     mm, reports = _analyze_all(metamodel_path, transformation_paths)
-    total = 0
-    has_unknown = False
-    for r in reports:
-        for d in r.diagnostics:
-            total += 1
-            has_unknown = has_unknown or d.kind == "unknown_concept"
-            click.echo(lint_text(d, kind=_paint(d.kind), fallback=r.transformation))
-    if total == 0:
-        click.echo("no findings")
-    if strict and has_unknown:
-        raise SystemExit(2)
+    findings = [(r.transformation, d) for r in reports for d in r.diagnostics]
+    for name, d in findings:
+        print(lint_text(d, kind=_paint(d.kind), fallback=name))
+    if not findings:
+        print("no findings")
+    if strict and any(d.kind == "unknown_concept" for _, d in findings):
+        return 2
 
 
-@main.command("chain-check")
-@click.argument("metamodel_path")
-@click.argument("transformation_paths", nargs=-1, required=True)
-@click.option(
-    "--initial",
-    "initial_spec",
-    default="ALL",
-    show_default=True,
-    help="Comma-separated concrete concepts, or ALL.",
-)
+@_command("chain-check", _INITIAL)
 def chain_check(metamodel_path, transformation_paths, initial_spec):
     """Validate an ordered chain of transformations step by step."""
     mm, reports = _analyze_all(metamodel_path, transformation_paths)
     initial = _concept_set(initial_spec, mm)
     plan = check_chain(initial, reports)
-    click.echo(f"initial: {_set_text(plan.initial_set, mm)}")
+    print(f"initial: {_set_text(plan.initial_set, mm)}")
     for i, step in enumerate(plan.steps, start=1):
         if step.valid:
-            click.echo(f"step {i}: {step.transformation}: VALID")
+            print(f"step {i}: {step.transformation}: VALID")
         else:
             blocked = _set_text(step.input_set - reports[i - 1].refined_domain, mm)
-            click.echo(
-                f"step {i}: {step.transformation}: INVALID "
-                f"(outside refined domain: {blocked})"
-            )
+            print(f"step {i}: {step.transformation}: INVALID (outside refined domain: {blocked})")
         for w in step.warnings:
-            click.echo(f"  warning: {w}")
-    click.echo(f"final: {_set_text(plan.final_set, mm)}")
-    click.echo(f"chain: {'VALID' if plan.goal_met else 'INVALID'}")
+            print(f"  warning: {w}")
+    print(f"final: {_set_text(plan.final_set, mm)}")
+    print(f"chain: {'VALID' if plan.goal_met else 'INVALID'}")
 
 
-@main.command("chain-plan")
-@click.argument("metamodel_path")
-@click.argument("transformation_paths", nargs=-1, required=True)
-@click.option(
-    "--initial",
-    "initial_spec",
-    default="ALL",
-    show_default=True,
-    help="Comma-separated concrete concepts, or ALL.",
+@_command(
+    "chain-plan",
+    _INITIAL,
+    ("--require", dict(metavar="CONCEPTS", action="append", default=[], help="Concepts the final set must contain.")),
+    ("--forbid", dict(metavar="CONCEPTS", action="append", default=[], help="Concepts the final set must not contain.")),
+    ("--max-len", dict(type=int, default=8, help="Maximum chain length (default: %(default)s).")),
 )
-@click.option("--require", "require_specs", multiple=True, help="Concepts the final set must contain.")
-@click.option("--forbid", "forbid_specs", multiple=True, help="Concepts the final set must not contain.")
-@click.option("--max-len", "max_len", type=int, default=8, show_default=True, help="Maximum chain length.")
-def chain_plan(metamodel_path, transformation_paths, initial_spec, require_specs, forbid_specs, max_len):
+def chain_plan(metamodel_path, transformation_paths, initial_spec, require, forbid, max_len):
     """Find a shortest transformation chain meeting the goal, or exit 3."""
     if max_len < 0:
         _fail("--max-len must be at least 0", 1)
@@ -212,18 +212,18 @@ def chain_plan(metamodel_path, transformation_paths, initial_spec, require_specs
             _fail(f"duplicate transformation name '{r.transformation}': {seen[r.transformation]} and {path}", 1)
         seen[r.transformation] = path
     initial = _concept_set(initial_spec, mm)
-    required = frozenset().union(*(_concept_set(s, mm) for s in require_specs)) if require_specs else frozenset()
-    forbidden = frozenset().union(*(_concept_set(s, mm) for s in forbid_specs)) if forbid_specs else frozenset()
+    required = frozenset().union(*(_concept_set(s, mm) for s in require))
+    forbidden = frozenset().union(*(_concept_set(s, mm) for s in forbid))
     overlap = required & forbidden
     if overlap:
         _fail(f"--require and --forbid overlap: {_set_text(overlap, mm)}", 1)
     plan = plan_chain(reports, initial, required, forbidden, max_len)
     if plan is None:
-        click.echo("no plan")
-        raise SystemExit(3)
-    click.echo(f"plan: {len(plan.steps)} step(s)")
+        print("no plan")
+        return 3
+    print(f"plan: {len(plan.steps)} step(s)")
     for i, step in enumerate(plan.steps, start=1):
-        click.echo(f"step {i}: {step.transformation}")
+        print(f"step {i}: {step.transformation}")
         for w in step.warnings:
-            click.echo(f"  warning: {w}")
-    click.echo(f"final: {_set_text(plan.final_set, mm)}")
+            print(f"  warning: {w}")
+    print(f"final: {_set_text(plan.final_set, mm)}")

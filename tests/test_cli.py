@@ -2,10 +2,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
 
+import xformlens
 from xformlens import (
     analyze,
     corpus_dir,
@@ -34,9 +39,25 @@ def corpus_args():
     return [str(base / name) for name in FIXED_ARGS]
 
 
+class Result(NamedTuple):
+    exit_code: int
+    out: str
+    err: str
+
+
 @pytest.fixture()
-def runner():
-    return CliRunner()
+def cli(capsys):
+    """Run `main(argv)` in process; the exit code is 0 when it returns."""
+
+    def run(argv):
+        try:
+            main(argv)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+        return Result(code, *capsys.readouterr())
+
+    return run
 
 
 def _expected_markdown():
@@ -48,23 +69,23 @@ def _expected_markdown():
     return "\n".join(pieces)
 
 
-def test_analyze_markdown_matches_library_composition(runner, corpus_args):
-    result = runner.invoke(main, ["analyze", *corpus_args])
+def test_analyze_markdown_matches_library_composition(cli, corpus_args):
+    result = cli(["analyze", *corpus_args])
     assert result.exit_code == 0
-    assert result.output == _expected_markdown()
-    assert result.output.startswith("### Ignored metaelements\n")
+    assert result.out == _expected_markdown()
+    assert result.out.startswith("### Ignored metaelements\n")
 
 
-def test_analyze_is_deterministic(runner, corpus_args):
-    first = runner.invoke(main, ["analyze", *corpus_args]).output
-    second = runner.invoke(main, ["analyze", *corpus_args]).output
+def test_analyze_is_deterministic(cli, corpus_args):
+    first = cli(["analyze", *corpus_args]).out
+    second = cli(["analyze", *corpus_args]).out
     assert first == second
 
 
-def test_analyze_json_is_an_array_of_reports(runner, corpus_args):
-    result = runner.invoke(main, ["analyze", "--format", "json", *corpus_args])
+def test_analyze_json_is_an_array_of_reports(cli, corpus_args):
+    result = cli(["analyze", "--format", "json", *corpus_args])
     assert result.exit_code == 0
-    data = json.loads(result.output)
+    data = json.loads(result.out)
     assert [r["transformation"] for r in data] == [
         "classInstantiation",
         "enumRemoval",
@@ -75,46 +96,46 @@ def test_analyze_json_is_an_array_of_reports(runner, corpus_args):
     mm, transformations = fixture_corpus()
     expected = [report_to_json(analyze(t, mm, mm)) for t in transformations]
     assert data == expected
-    assert result.output == json.dumps(expected, indent=2) + "\n"
+    assert result.out == json.dumps(expected, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("fmt", ["html", "latex"])
-def test_analyze_other_formats_render(runner, corpus_args, fmt):
-    result = runner.invoke(main, ["analyze", "--format", fmt, *corpus_args])
+def test_analyze_other_formats_render(cli, corpus_args, fmt):
+    result = cli(["analyze", "--format", fmt, *corpus_args])
     assert result.exit_code == 0
     marker = "<table>" if fmt == "html" else "\\begin{tabular}"
-    assert marker in result.output
+    assert marker in result.out
 
 
-def test_analyze_out_writes_file(runner, corpus_args, tmp_path):
+def test_analyze_out_writes_file(cli, corpus_args, tmp_path):
     out = tmp_path / "tables.md"
-    result = runner.invoke(main, ["analyze", "--out", str(out), *corpus_args])
+    result = cli(["analyze", "--out", str(out), *corpus_args])
     assert result.exit_code == 0
-    assert result.output == ""
+    assert result.out == ""
     assert out.read_text(encoding="utf-8") == _expected_markdown()
 
 
-def test_analyze_missing_file_fails_cleanly(runner, tmp_path):
-    result = runner.invoke(main, ["analyze", str(tmp_path / "nope.cmm"), "x.tfm"])
+def test_analyze_missing_file_fails_cleanly(cli, tmp_path):
+    result = cli(["analyze", str(tmp_path / "nope.cmm"), "x.tfm"])
     assert result.exit_code == 1
-    assert result.stderr.startswith("error: ")
+    assert result.err.startswith("error: ")
 
 
-def test_analyze_non_utf8_file_fails_with_byte_offset(runner, corpus_args, tmp_path):
+def test_analyze_non_utf8_file_fails_with_byte_offset(cli, corpus_args, tmp_path):
     bad = tmp_path / "bad.cmm"
     bad.write_bytes(b"metamodel M { class \xff {} }")
-    result = runner.invoke(main, ["analyze", str(bad), corpus_args[1]])
+    result = cli(["analyze", str(bad), corpus_args[1]])
     assert result.exit_code == 1
-    assert result.stderr == f"error: {bad}: not valid UTF-8 at byte 20\n"
+    assert result.err == f"error: {bad}: not valid UTF-8 at byte 20\n"
 
 
-def test_analyze_parse_error_reports_position(runner, corpus_args, tmp_path):
+def test_analyze_parse_error_reports_position(cli, corpus_args, tmp_path):
     bad = tmp_path / "bad.tfm"
     bad.write_text("module broken\n", encoding="utf-8")
-    result = runner.invoke(main, ["analyze", corpus_args[0], str(bad)])
+    result = cli(["analyze", corpus_args[0], str(bad)])
     assert result.exit_code == 1
-    assert result.stderr.startswith("error: ")
-    assert "bad.tfm:" in result.stderr
+    assert result.err.startswith("error: ")
+    assert "bad.tfm:" in result.err
 
 
 @pytest.fixture()
@@ -137,27 +158,23 @@ def unknown_concept_module(tmp_path):
 
 
 def test_analyze_strict_exits_two_on_unknown_concepts(
-    runner, unknown_concept_module, tmp_path
+    cli, unknown_concept_module, tmp_path
 ):
     out = tmp_path / "tables.md"
-    result = runner.invoke(
-        main, ["analyze", "--strict", "--out", str(out), *unknown_concept_module]
-    )
+    result = cli(["analyze", "--strict", "--out", str(out), *unknown_concept_module])
     assert result.exit_code == 2
     assert out.exists()
 
 
-def test_analyze_strict_passes_on_clean_corpus(runner, corpus_args):
-    result = runner.invoke(main, ["analyze", "--strict", *corpus_args])
+def test_analyze_strict_passes_on_clean_corpus(cli, corpus_args):
+    result = cli(["analyze", "--strict", *corpus_args])
     assert result.exit_code == 0
 
 
-def test_lint_reports_informational_findings(runner, corpus_args):
-    result = runner.invoke(
-        main, ["lint", corpus_args[0], str(corpus_dir() / "recordRemoval.tfm")]
-    )
+def test_lint_reports_informational_findings(cli, corpus_args):
+    result = cli(["lint", corpus_args[0], str(corpus_dir() / "recordRemoval.tfm")])
     assert result.exit_code == 0
-    assert result.output.splitlines() == [
+    assert result.out.splitlines() == [
         "recordRemoval: never_processed: concept 'Record' is referenced "
         "but never copied or mutated",
         "recordRemoval: ignored_in: concept 'Class' appears in no source "
@@ -167,18 +184,16 @@ def test_lint_reports_informational_findings(runner, corpus_args):
     ]
 
 
-def test_lint_prints_no_findings_for_clean_input(runner, corpus_args):
-    result = runner.invoke(
-        main, ["lint", corpus_args[0], str(corpus_dir() / "uselessIfRemoval.tfm")]
-    )
+def test_lint_prints_no_findings_for_clean_input(cli, corpus_args):
+    result = cli(["lint", corpus_args[0], str(corpus_dir() / "uselessIfRemoval.tfm")])
     assert result.exit_code == 0
-    assert result.output == "no findings\n"
+    assert result.out == "no findings\n"
 
 
-def test_lint_positions_unknown_concepts(runner, unknown_concept_module):
-    result = runner.invoke(main, ["lint", *unknown_concept_module])
+def test_lint_positions_unknown_concepts(cli, unknown_concept_module):
+    result = cli(["lint", *unknown_concept_module])
     assert result.exit_code == 0
-    line = result.output.splitlines()[0]
+    line = result.out.splitlines()[0]
     path = unknown_concept_module[1]
     assert line == (
         f"{path}:8:7: unknown_concept: rule 'A' references unknown "
@@ -186,39 +201,33 @@ def test_lint_positions_unknown_concepts(runner, unknown_concept_module):
     )
 
 
-def test_lint_strict_exits_two_on_unknown(runner, unknown_concept_module):
-    result = runner.invoke(main, ["lint", "--strict", *unknown_concept_module])
+def test_lint_strict_exits_two_on_unknown(cli, unknown_concept_module):
+    result = cli(["lint", "--strict", *unknown_concept_module])
     assert result.exit_code == 2
 
 
-def test_lint_strict_keeps_informational_findings_at_zero(runner, corpus_args):
-    result = runner.invoke(main, ["lint", "--strict", *corpus_args])
+def test_lint_strict_keeps_informational_findings_at_zero(cli, corpus_args):
+    result = cli(["lint", "--strict", *corpus_args])
     assert result.exit_code == 0
 
 
-def test_lint_colors_kinds_when_enabled(runner, unknown_concept_module):
-    result = runner.invoke(
-        main,
-        ["lint", *unknown_concept_module],
-        env={"XFORMLENS_COLOR": "1"},
-        color=True,
-    )
-    assert "\x1b[31munknown_concept\x1b[0m" in result.output
+def test_lint_colors_kinds_when_enabled(cli, unknown_concept_module, monkeypatch):
+    # Captured stdout is not a terminal: the variable alone turns colour on.
+    monkeypatch.setenv("XFORMLENS_COLOR", "1")
+    result = cli(["lint", *unknown_concept_module])
+    assert "\x1b[31munknown_concept\x1b[0m" in result.out
 
 
-def test_chain_check_reports_invalid_step(runner, corpus_args):
-    result = runner.invoke(
-        main,
-        ["chain-check", corpus_args[0], str(corpus_dir() / "recordRemoval.tfm")],
-    )
+def test_chain_check_reports_invalid_step(cli, corpus_args):
+    result = cli(["chain-check", corpus_args[0], str(corpus_dir() / "recordRemoval.tfm")])
     assert result.exit_code == 0
-    lines = result.output.splitlines()
+    lines = result.out.splitlines()
     assert lines[0].startswith("initial: EnumLiteral, Predicate, ")
     assert lines[1] == "step 1: recordRemoval: INVALID (outside refined domain: Class)"
     assert lines[-1] == "chain: INVALID"
 
 
-def test_chain_check_valid_chain_with_warning(runner, corpus_args):
+def test_chain_check_valid_chain_with_warning(cli, corpus_args):
     initial = ",".join(
         c
         for c in (
@@ -228,8 +237,7 @@ def test_chain_check_valid_chain_with_warning(runner, corpus_args):
         ).split(",")
         if c != "Record"
     )
-    result = runner.invoke(
-        main,
+    result = cli(
         [
             "chain-check",
             corpus_args[0],
@@ -240,7 +248,7 @@ def test_chain_check_valid_chain_with_warning(runner, corpus_args):
         ],
     )
     assert result.exit_code == 0
-    lines = result.output.splitlines()
+    lines = result.out.splitlines()
     assert lines[1] == "step 1: classInstantiation: VALID"
     assert lines[2] == (
         "  warning: useless step: 'Record' is introduced here and dropped "
@@ -250,24 +258,19 @@ def test_chain_check_valid_chain_with_warning(runner, corpus_args):
     assert lines[-1] == "chain: VALID"
 
 
-def test_chain_check_rejects_unknown_initial_concept(runner, corpus_args):
-    result = runner.invoke(
-        main,
-        ["chain-check", *corpus_args[:2], "--initial", "Class,Spirit"],
-    )
+def test_chain_check_rejects_unknown_initial_concept(cli, corpus_args):
+    result = cli(["chain-check", *corpus_args[:2], "--initial", "Class,Spirit"])
     assert result.exit_code == 1
     assert (
         "'Spirit' is not a concrete concept of metamodel 'CPPivot'"
-        in result.stderr
+        in result.err
     )
 
 
-def test_chain_plan_prints_steps_and_final_set(runner, corpus_args):
-    result = runner.invoke(
-        main, ["chain-plan", *corpus_args, "--forbid", "Class", "--forbid", "Record"]
-    )
+def test_chain_plan_prints_steps_and_final_set(cli, corpus_args):
+    result = cli(["chain-plan", *corpus_args, "--forbid", "Class", "--forbid", "Record"])
     assert result.exit_code == 0
-    lines = result.output.splitlines()
+    lines = result.out.splitlines()
     assert lines[0] == "plan: 2 step(s)"
     assert lines[1] == "step 1: classInstantiation"
     assert lines[2] == "step 2: recordRemoval"
@@ -275,53 +278,111 @@ def test_chain_plan_prints_steps_and_final_set(runner, corpus_args):
     assert "Class" not in lines[3] and "Record" not in lines[3]
 
 
-def test_chain_plan_no_plan_exits_three(runner, corpus_args):
-    result = runner.invoke(main, ["chain-plan", *corpus_args, "--forbid", "Forall"])
+def test_chain_plan_no_plan_exits_three(cli, corpus_args):
+    result = cli(["chain-plan", *corpus_args, "--forbid", "Forall"])
     assert result.exit_code == 3
-    assert result.output == "no plan\n"
+    assert result.out == "no plan\n"
 
 
-def test_chain_plan_rejects_overlapping_goals(runner, corpus_args):
-    result = runner.invoke(
-        main,
-        ["chain-plan", *corpus_args, "--require", "Class", "--forbid", "Class"],
-    )
+def test_chain_plan_rejects_overlapping_goals(cli, corpus_args):
+    result = cli(["chain-plan", *corpus_args, "--require", "Class", "--forbid", "Class"])
     assert result.exit_code == 1
-    assert "error: " in result.stderr
+    assert "error: " in result.err
 
 
-def test_chain_plan_rejects_negative_max_len(runner, corpus_args):
-    result = runner.invoke(main, ["chain-plan", *corpus_args, "--max-len", "-3"])
+def test_chain_plan_rejects_negative_max_len(cli, corpus_args):
+    result = cli(["chain-plan", *corpus_args, "--max-len", "-3"])
     assert result.exit_code == 1
-    assert result.stdout == ""
-    assert result.stderr == "error: --max-len must be at least 0\n"
+    assert result.out == ""
+    assert result.err == "error: --max-len must be at least 0\n"
 
 
-def test_chain_plan_rejects_duplicate_transformation_names(runner, corpus_args, tmp_path):
+def test_chain_plan_rejects_duplicate_transformation_names(cli, corpus_args, tmp_path):
     base = corpus_dir()
     clash = tmp_path / "enumRemovalCopy.tfm"
     text = (base / "enumRemoval.tfm").read_text(encoding="utf-8")
     clash.write_text(text.replace("module enumRemoval;", "module recordRemoval;"), encoding="utf-8")
     real = str(base / "recordRemoval.tfm")
-    result = runner.invoke(
-        main,
-        ["chain-plan", corpus_args[0], real, str(clash), "--forbid", "Record,EnumLiteral"],
-    )
+    result = cli(["chain-plan", corpus_args[0], real, str(clash), "--forbid", "Record,EnumLiteral"])
     assert result.exit_code == 1
-    assert result.stdout == ""
-    assert result.stderr == (
+    assert result.out == ""
+    assert result.err == (
         f"error: duplicate transformation name 'recordRemoval': {real} and {clash}\n"
     )
 
 
-def test_chain_plan_zero_steps(runner, corpus_args):
-    result = runner.invoke(main, ["chain-plan", *corpus_args, "--require", "Model"])
+def test_chain_plan_zero_steps(cli, corpus_args):
+    result = cli(["chain-plan", *corpus_args, "--require", "Model"])
     assert result.exit_code == 0
-    assert result.output.splitlines()[0] == "plan: 0 step(s)"
+    assert result.out.splitlines()[0] == "plan: 0 step(s)"
 
 
-def test_help_lists_all_commands(runner):
-    result = runner.invoke(main, ["--help"])
+def test_help_lists_all_commands(cli):
+    result = cli(["--help"])
     assert result.exit_code == 0
     for command in ("analyze", "lint", "chain-check", "chain-plan"):
-        assert command in result.output
+        assert command in result.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["analyze"],
+        ["analyze", "pivot.cmm"],
+        ["analyze", "--format", "xml", "pivot.cmm", "enumRemoval.tfm"],
+        ["chain-plan", "pivot.cmm", "enumRemoval.tfm", "--max-len", "x"],
+    ],
+    ids=["no-command", "unknown-command", "no-paths", "no-transformations", "bad-format", "bad-max-len"],
+)
+def test_usage_errors_exit_one_with_one_error_line(cli, argv):
+    result = cli(argv)
+    assert result.exit_code == 1
+    assert result.out == ""
+    assert result.err.startswith("error: ")
+    assert result.err.count("\n") == 1 and result.err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code, lines",
+    [
+        (["pivot.cmm", "enumRemoval.tfm", "--forbid", "Forall", "recordRemoval.tfm"], 3, ["no plan"]),
+        (["--forbid", "Forall", "pivot.cmm", "enumRemoval.tfm", "recordRemoval.tfm"], 3, ["no plan"]),
+        (
+            ["pivot.cmm", "classInstantiation.tfm", "--forbid", "Class", "recordRemoval.tfm", "--forbid", "Record"],
+            0,
+            ["plan: 2 step(s)", "step 1: classInstantiation", "step 2: recordRemoval"],
+        ),
+    ],
+    ids=["between-paths", "before-paths", "plan-uses-files-on-both-sides"],
+)
+def test_chain_plan_accepts_options_among_the_paths(cli, monkeypatch, argv, code, lines):
+    monkeypatch.chdir(corpus_dir())
+    result = cli(["chain-plan", *argv])
+    assert result.exit_code == code
+    assert result.out.splitlines()[: len(lines)] == lines
+
+
+def test_lint_exits_quietly_when_stdout_is_closed(cli, tmp_path):
+    # Enough findings to overflow a pipe buffer (64 KiB on Linux), so the
+    # write fails while the command runs, not only at exit.
+    mm = tmp_path / "wide.cmm"
+    mm.write_text("metamodel W {\n" + "".join(f"\tclass C{i} {{}}\n" for i in range(1000)) + "}\n", encoding="utf-8")
+    tfm = tmp_path / "one.tfm"
+    tfm.write_text("module one;\ncreate OUT : W from IN : W;\nrule C0 { from s : W!C0 to t : W!C0() }\n", encoding="utf-8")
+    args = ["lint", str(mm), str(tfm)]
+    assert len(cli(args).out.encode()) > 64 * 1024
+    src = str(Path(xformlens.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "xformlens", *args],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""  # no traceback

@@ -1,13 +1,18 @@
 """Randomized invariants over parsing, analysis, and rendering."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
 import random
+import tempfile
 
 from hypothesis import given, settings, strategies as st
 
 from xformlens import (
     ParseError,
+    corpus_dir,
     Table,
     analyze,
     concrete_concepts,
@@ -20,6 +25,7 @@ from xformlens import (
     report_to_json,
     table_from_json,
 )
+from xformlens.cli import COMMANDS, main
 from xformlens.lexer import tokenize
 
 from helpers import (
@@ -232,3 +238,48 @@ def test_parsers_return_or_raise_parse_error(source):
             parse(source)
         except ParseError:
             pass
+
+
+# File contents: arbitrary bytes, arbitrary text, or a corpus file, so
+# that some calls get past parsing into analysis, tables and planning.
+_CORPUS = [p.read_bytes() for p in sorted(corpus_dir().iterdir()) if p.suffix in (".cmm", ".tfm")]
+_CONTENTS = st.binary() | st.text().map(str.encode) | st.sampled_from(_CORPUS)
+# The real flags and values of every command, plus bad values.
+_OPTION_WORDS = (
+    "--format", "markdown", "html", "latex", "json", "xml", "--out", "out.txt",
+    "--strict", "--initial", "ALL", "Class", "Class,Record", "Spirit", "",
+    "--require", "--forbid", "Model", "Forall", "--max-len", "0", "3", "-1", "x",
+    "--", "-h", "--strict=1",
+)
+
+
+@given(
+    st.sampled_from(sorted(COMMANDS)),
+    st.lists(_CONTENTS, min_size=1, max_size=3),
+    st.lists(st.sampled_from(_OPTION_WORDS), max_size=6),
+)
+@settings(deadline=None)
+def test_cli_exits_with_a_documented_code(command, contents, option_words):
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        files = []
+        for i, data in enumerate(contents):
+            path = os.path.join(tmp, f"f{i}")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            files.append(path)
+        # `--out` may take any word as its path; keep what it writes here.
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                main([command, *files, *option_words])
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
