@@ -7,8 +7,8 @@ refined domain and codomain, a fixed-point verdict, and diagnostics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .metamodel import Metamodel, concrete_concepts, declaration_order
 from .transformation import ConceptRef, Rule, Transformation
@@ -33,24 +33,21 @@ class Mode(Enum):
 MODE_ORDER = (Mode.ALWAYS, Mode.CONDITIONALLY, Mode.LAZILY)
 
 
-@dataclass(frozen=True)
-class RuleClassification:
+class RuleClassification(NamedTuple):
     action: str  # "copy" | "mutation"
     mode: Mode
     source: str
     targets: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ConceptProfile:
+class ConceptProfile(NamedTuple):
     concept: str
     copy_modes: frozenset[Mode] = frozenset()
     mutation_modes: frozenset[Mode] = frozenset()
     produced_as: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
-class Lint:
+class Lint(NamedTuple):
     kind: str  # unknown_concept | never_processed | ignored_in | ignored_out
     subject: str
     message: str
@@ -59,8 +56,7 @@ class Lint:
     column: int | None = None
 
 
-@dataclass(frozen=True)
-class FixedPointVerdict:
+class FixedPointVerdict(NamedTuple):
     flag: bool
     explanation: str
     focal: tuple[str, ...] = ()
@@ -69,8 +65,7 @@ class FixedPointVerdict:
         return self.flag
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     transformation: str
     source_mm: str
     target_mm: str
@@ -137,7 +132,7 @@ def analyze(
     unknown: list[Lint] = []
     mentioned_source: set[str] = set()
     mentioned_target: set[str] = set()
-    metamodels = {source_mm.name: source_mm, target_mm.name: target_mm}
+    concept_names = {source_mm.name: source_mm.concept_names, target_mm.name: target_mm.concept_names}
     # A scope maps each qualifier that may resolve to the set its mentions
     # are recorded in. The source entry comes last so that it wins in an
     # endogenous module; in an exogenous one, expression refs to the
@@ -148,7 +143,7 @@ def analyze(
 
     def resolve(ref: ConceptRef, owner: str, scope: dict[str, set[str]]) -> bool:
         """Record a mention of ref in its scope, or lint it as unknown."""
-        if ref.metamodel in scope and ref.name in metamodels[ref.metamodel].concept_names:
+        if ref.metamodel in scope and ref.name in concept_names[ref.metamodel]:
             scope[ref.metamodel].add(ref.name)
             return True
         unknown.append(

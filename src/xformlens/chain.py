@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analyzer import AnalysisReport
 
@@ -18,8 +18,7 @@ class ChainCompatibilityError(ValueError):
     """Adjacent chain steps disagree on the intermediate metamodel."""
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     transformation: str
     input_set: frozenset[str]
     output_set: frozenset[str]
@@ -27,8 +26,7 @@ class ChainStep:
     warnings: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ChainPlan:
+class ChainPlan(NamedTuple):
     initial_set: frozenset[str]
     steps: tuple[ChainStep, ...]
     goal_met: bool

@@ -55,19 +55,17 @@ def _analyze_all(metamodel_path: str, transformation_paths: tuple[str, ...]):
     return mm, reports
 
 
-def _concept_set(spec: str, mm: Metamodel) -> frozenset[str]:
+def _concept_set(spec: str, mm: Metamodel, option: str) -> frozenset[str]:
     concrete = frozenset(concrete_concepts(mm))
     if spec == "ALL":
         return concrete
-    chosen = set()
-    for raw in spec.split(","):
-        name = raw.strip()
-        if not name:
-            continue
+    names = [name for name in (raw.strip() for raw in spec.split(",")) if name]
+    if not names:
+        _fail(f"{option} names no concept", 1)
+    for name in names:
         if name not in concrete:
             _fail(f"'{name}' is not a concrete concept of metamodel '{mm.name}'", 1)
-        chosen.add(name)
-    return frozenset(chosen)
+    return frozenset(names)
 
 
 def _set_text(s: frozenset[str], mm: Metamodel) -> str:
@@ -178,7 +176,7 @@ def lint(metamodel_path, transformation_paths, strict):
 def chain_check(metamodel_path, transformation_paths, initial_spec):
     """Validate an ordered chain of transformations step by step."""
     mm, reports = _analyze_all(metamodel_path, transformation_paths)
-    initial = _concept_set(initial_spec, mm)
+    initial = _concept_set(initial_spec, mm, "--initial")
     plan = check_chain(initial, reports)
     print(f"initial: {_set_text(plan.initial_set, mm)}")
     for i, step in enumerate(plan.steps, start=1):
@@ -211,9 +209,9 @@ def chain_plan(metamodel_path, transformation_paths, initial_spec, require, forb
         if r.transformation in seen:
             _fail(f"duplicate transformation name '{r.transformation}': {seen[r.transformation]} and {path}", 1)
         seen[r.transformation] = path
-    initial = _concept_set(initial_spec, mm)
-    required = frozenset().union(*(_concept_set(s, mm) for s in require))
-    forbidden = frozenset().union(*(_concept_set(s, mm) for s in forbid))
+    initial = _concept_set(initial_spec, mm, "--initial")
+    required = frozenset().union(*(_concept_set(s, mm, "--require") for s in require))
+    forbidden = frozenset().union(*(_concept_set(s, mm, "--forbid") for s in forbid))
     overlap = required & forbidden
     if overlap:
         _fail(f"--require and --forbid overlap: {_set_text(overlap, mm)}", 1)

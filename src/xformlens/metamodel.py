@@ -7,35 +7,40 @@ along, but only names, abstractness, and inheritance matter to analysis.
 from __future__ import annotations
 
 from collections.abc import Callable, Collection, Sequence
-from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 from .lexer import ParseError, Token, TokenStream, capture_balanced
 
 
-@dataclass(frozen=True)
-class Feature:
+class Feature(NamedTuple):
     kind: str  # "attr" | "ref"
     name: str
     type_name: str
     multiplicity: str | None = None
 
 
-@dataclass(frozen=True)
-class Concept:
+class Concept(NamedTuple):
     name: str
     abstract: bool = False
     supertypes: tuple[str, ...] = ()
     features: tuple[Feature, ...] = ()
 
 
-@dataclass(frozen=True)
-class Metamodel:
+class Metamodel(NamedTuple):
     name: str
     concepts: tuple[Concept, ...] = ()
-    source_path: str | None = field(default=None, compare=False)
+    source_path: str | None = None
 
-    @cached_property
+    def __eq__(self, other):  # source_path says where the text came from, not what it is
+        return self[:-1] == other[:-1] if isinstance(other, Metamodel) else NotImplemented
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:-1])
+
+    @property
     def concept_names(self) -> frozenset[str]:
         return frozenset(c.name for c in self.concepts)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import html
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analyzer import MODE_ORDER, AnalysisReport, Lint, Mode
 from .metamodel import declaration_order
@@ -20,23 +20,29 @@ FORMATS = ("markdown", "html", "latex", "json")
 _MODE_DISPLAY_ORDER = (Mode.LAZILY, Mode.CONDITIONALLY, Mode.ALWAYS)
 
 
-@dataclass(frozen=True)
-class Table:
+class _TableFields(NamedTuple):
     title: str
     header: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...] = ()
 
-    def __post_init__(self) -> None:
-        for row in self.rows:
-            if len(row) != len(self.header):
-                raise ValueError(
-                    f"row arity {len(row)} does not match header arity "
-                    f"{len(self.header)}"
-                )
+
+class Table(_TableFields):
+    """A titled grid whose rows all have the header's arity, checked when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, title, header, rows=()):
+        for row in rows:
+            if len(row) != len(header):
+                raise ValueError(f"row arity {len(row)} does not match header arity {len(header)}")
+        return super().__new__(cls, title, header, rows)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks the arity too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ProfileGroup:
+class ProfileGroup(NamedTuple):
     copy_modes: frozenset[Mode]
     mutation_modes: frozenset[Mode]
     concepts: tuple[str, ...]

@@ -7,13 +7,12 @@ analysis only needs the qualified concept references inside them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .lexer import ParseError, Token, TokenStream, capture_balanced
 
 
-@dataclass(frozen=True)
-class ConceptRef:
+class ConceptRef(NamedTuple):
     """A qualified reference METAMODEL!CONCEPT with its source position."""
 
     metamodel: str
@@ -26,8 +25,7 @@ class ConceptRef:
         return f"{self.metamodel}!{self.name}"
 
 
-@dataclass(frozen=True)
-class Expression:
+class Expression(NamedTuple):
     """An opaque expression: raw source text plus extracted concept refs."""
 
     raw: str
@@ -38,21 +36,18 @@ class Expression:
         return frozenset(ref.qualified for ref in self.refs)
 
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(NamedTuple):
     feature: str
     value: Expression
 
 
-@dataclass(frozen=True)
-class TargetPattern:
+class TargetPattern(NamedTuple):
     var: str
     concept: ConceptRef
     bindings: tuple[Binding, ...] = ()
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     name: str
     source_var: str
     source_concept: ConceptRef
@@ -62,22 +57,29 @@ class Rule:
     parent_rule: str | None = None
 
 
-@dataclass(frozen=True)
-class Helper:
+class Helper(NamedTuple):
     name: str
     result_type: Expression
     body: Expression
     context: ConceptRef | None = None
 
 
-@dataclass(frozen=True)
-class Transformation:
+class Transformation(NamedTuple):
     name: str
     source_metamodel: str
     target_metamodel: str
     helpers: tuple[Helper, ...] = ()
     rules: tuple[Rule, ...] = ()
-    source_path: str | None = field(default=None, compare=False)
+    source_path: str | None = None
+
+    def __eq__(self, other):  # source_path says where the text came from, not what it is
+        return self[:-1] == other[:-1] if isinstance(other, Transformation) else NotImplemented
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:-1])
 
     def rule(self, name: str) -> Rule:
         for r in self.rules:

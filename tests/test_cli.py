@@ -267,6 +267,19 @@ def test_chain_check_rejects_unknown_initial_concept(cli, corpus_args):
     )
 
 
+@pytest.mark.parametrize("value", ["", ",", " , "], ids=["empty", "comma", "blank-comma"])
+@pytest.mark.parametrize(
+    "command, option",
+    [("chain-check", "--initial"), ("chain-plan", "--initial"), ("chain-plan", "--require"), ("chain-plan", "--forbid")],
+)
+def test_concept_options_naming_no_concept_fail(cli, corpus_args, command, option, value):
+    # An unset shell variable in the option must not turn into the empty set.
+    result = cli([command, corpus_args[0], corpus_args[4], option, value])
+    assert result.exit_code == 1
+    assert result.out == ""
+    assert result.err == f"error: {option} names no concept\n"
+
+
 def test_chain_plan_prints_steps_and_final_set(cli, corpus_args):
     result = cli(["chain-plan", *corpus_args, "--forbid", "Class", "--forbid", "Record"])
     assert result.exit_code == 0
@@ -364,6 +377,23 @@ def test_chain_plan_accepts_options_among_the_paths(cli, monkeypatch, argv, code
     assert result.out.splitlines()[: len(lines)] == lines
 
 
+def _subprocess_env() -> dict[str, str]:
+    """The environment with this checkout's `src` first on PYTHONPATH."""
+    src = str(Path(xformlens.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_click():
+    # Start-up cost: each of these modules adds milliseconds to every call.
+    # A subprocess, because pytest itself has already imported dataclasses.
+    probe = "import sys, xformlens.cli; print(*sorted({'dataclasses', 'inspect', 'click'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_subprocess_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+
+
 def test_lint_exits_quietly_when_stdout_is_closed(cli, tmp_path):
     # Enough findings to overflow a pipe buffer (64 KiB on Linux), so the
     # write fails while the command runs, not only at exit.
@@ -373,14 +403,12 @@ def test_lint_exits_quietly_when_stdout_is_closed(cli, tmp_path):
     tfm.write_text("module one;\ncreate OUT : W from IN : W;\nrule C0 { from s : W!C0 to t : W!C0() }\n", encoding="utf-8")
     args = ["lint", str(mm), str(tfm)]
     assert len(cli(args).out.encode()) > 64 * 1024
-    src = str(Path(xformlens.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "xformlens", *args],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            stdout=write_end, stderr=subprocess.PIPE, env=_subprocess_env(), timeout=60,
         )
     finally:
         os.close(write_end)

@@ -116,6 +116,7 @@ def test_pretty_print_round_trips_the_pivot(pivot):
     printed = pretty_print(pivot)
     reparsed = parse_metamodel(printed)
     assert reparsed == pivot
+    assert hash(reparsed) == hash(pivot)  # source_path is in neither
     assert pretty_print(reparsed) == printed
 
 

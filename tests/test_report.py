@@ -41,6 +41,8 @@ def test_mode_set_label_display_order():
 def test_table_arity_is_validated():
     with pytest.raises(ValueError):
         Table("t", ("a", "b"), (("only",),))
+    with pytest.raises(ValueError):
+        Table("t", ("a", "b"))._replace(rows=(("only",),))
 
 
 def test_markdown_render_escapes_pipes():

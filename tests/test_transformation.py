@@ -21,6 +21,11 @@ def test_header_is_parsed():
     assert t.source_metamodel == "CPPivot"
     assert t.target_metamodel == "CPPivot"
     assert t.source_path == "probe.tfm"
+    # Where the text came from is not part of equality or the hash.
+    a = parse_transformation(wrap_rules(RULE_COPY_ALWAYS), path="a.tfm")
+    b = parse_transformation(wrap_rules(RULE_COPY_ALWAYS), path="b.tfm")
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
 
 
 def test_plain_copy_rule_shape():
