@@ -33,11 +33,12 @@ def _fail(message: str, code: int):
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except OSError as exc:
         _fail(str(exc), 1)
     except UnicodeDecodeError as exc:
         _fail(f"{path}: not valid UTF-8 at byte {exc.start}", 1)
+    return text.removeprefix("\ufeff")  # not "utf-8-sig": it shifts the byte offset above
 
 
 def _analyze_all(metamodel_path: str, transformation_paths: tuple[str, ...]):

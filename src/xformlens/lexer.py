@@ -7,6 +7,8 @@ into a grammar of their own; parsers capture them as balanced token runs.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from functools import cached_property
 from typing import NamedTuple
 
 
@@ -27,8 +29,6 @@ class Token(NamedTuple):
 
     kind: str
     text: str
-    line: int
-    column: int
     offset: int
 
     def describe(self) -> str:
@@ -54,20 +54,18 @@ _TOKEN = re.compile(
 
 def tokenize(source: str, path: str | None = None) -> list[Token]:
     tokens: list[Token] = []
-    line, line_start, pos = 1, 0, 0
-    while True:
-        m = _TOKEN.match(source, pos)
+    # Every position matches (`.` takes all but the newlines that the blank
+    # prefix eats), so the matches tile the source; stop at the first `eof`.
+    for m in _TOKEN.finditer(source):
         kind = m.lastgroup
         start = m.start(kind)
-        line += source.count("\n", pos, start)
-        line_start = max(line_start, source.rfind("\n", pos, start) + 1)
-        column = start - line_start + 1
         if kind == "unterminated":
+            line = source.count("\n", 0, start) + 1
+            column = start - source.rfind("\n", 0, start)
             raise ParseError("unterminated string literal", line, column, path)
-        tokens.append(Token(kind, m.group(kind), line, column, start))
+        tokens.append(Token(kind, m[kind], start))
         if kind == "eof":
             return tokens
-        pos = m.end()
 
 
 class TokenStream:
@@ -118,7 +116,18 @@ class TokenStream:
 
     def error(self, message: str, token: Token | None = None) -> ParseError:
         tok = token if token is not None else self.peek()
-        return ParseError(message, tok.line, tok.column, self.path)
+        return ParseError(message, *self.position(tok), self.path)
+
+    @cached_property
+    def _line_breaks(self) -> list[int]:
+        # The offset of every newline, after -1 for the start of the text.
+        return [-1, *[m.start() for m in re.finditer("\n", self.source)]]
+
+    def position(self, tok: Token) -> tuple[int, int]:
+        """The 1-based line and column (in code points, a tab as one) of `tok`."""
+        breaks = self._line_breaks
+        line = bisect_left(breaks, tok.offset)
+        return line, tok.offset - breaks[line - 1]
 
     def slice(self, first: Token, last: Token) -> str:
         return self.source[first.offset : last.offset + len(last.text)]
@@ -130,12 +139,10 @@ def capture_balanced(ts: TokenStream, stops: frozenset[str], what: str) -> list[
     The stop symbol is not consumed. Raises on end of input and on a
     closing bracket that has no opener in the captured run.
     """
-    collected: list[Token] = []
+    tokens, start = ts.tokens, ts.pos
     depth = 0
-    while True:
-        tok = ts.peek()
-        if tok.kind == "eof":
-            raise ts.error(f"unterminated {what}")
+    for i in range(start, len(tokens)):
+        tok = tokens[i]
         if depth == 0 and tok.text in stops:
             break
         if tok.text in ("(", "[", "{"):
@@ -143,8 +150,10 @@ def capture_balanced(ts: TokenStream, stops: frozenset[str], what: str) -> list[
         elif tok.text in (")", "]", "}"):
             depth -= 1
             if depth < 0:
-                raise ts.error(f"unbalanced '{tok.text}' in {what}")
-        collected.append(ts.advance())
-    if not collected:
+                raise ts.error(f"unbalanced '{tok.text}' in {what}", tok)
+        elif tok.kind == "eof":
+            raise ts.error(f"unterminated {what}", tok)
+    if i == start:
         raise ts.error(f"expected {what}")
-    return collected
+    ts.pos = i
+    return tokens[start:i]

@@ -226,7 +226,7 @@ def _parse_qref(ts: TokenStream) -> ConceptRef:
     mm_tok = ts.expect_ident("metamodel name")
     ts.expect("!")
     name_tok = ts.expect_ident("concept name")
-    return ConceptRef(mm_tok.text, name_tok.text, mm_tok.line, mm_tok.column)
+    return ConceptRef(mm_tok.text, name_tok.text, *ts.position(mm_tok))
 
 
 def _expression(ts: TokenStream, run: list[Token]) -> Expression:
@@ -234,6 +234,6 @@ def _expression(ts: TokenStream, run: list[Token]) -> Expression:
     refs = []
     for a, b, c in zip(run, run[1:], run[2:]):
         if a.kind == "ident" and b.text == "!" and c.kind == "ident":
-            refs.append(ConceptRef(a.text, c.text, a.line, a.column))
+            refs.append(ConceptRef(a.text, c.text, *ts.position(a)))
     return Expression(raw, tuple(refs))
 

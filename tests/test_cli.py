@@ -129,6 +129,25 @@ def test_analyze_non_utf8_file_fails_with_byte_offset(cli, corpus_args, tmp_path
     assert result.err == f"error: {bad}: not valid UTF-8 at byte 20\n"
 
 
+@pytest.mark.parametrize("which", [0, 1])
+def test_a_leading_byte_order_mark_is_ignored(cli, corpus_args, tmp_path, which):
+    args = list(corpus_args)
+    bom = tmp_path / Path(args[which]).name
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(args[which]).read_bytes())
+    plain = cli(["analyze", "--format", "json", *args])
+    args[which] = str(bom)
+    assert cli(["analyze", "--format", "json", *args]) == plain
+    assert plain.exit_code == 0
+
+
+def test_non_utf8_byte_offset_counts_the_byte_order_mark(cli, corpus_args, tmp_path):
+    bad = tmp_path / "bad.cmm"
+    bad.write_bytes(b"\xef\xbb\xbfab\xff")
+    result = cli(["analyze", str(bad), corpus_args[1]])
+    assert result.exit_code == 1
+    assert result.err == f"error: {bad}: not valid UTF-8 at byte 5\n"
+
+
 def test_analyze_parse_error_reports_position(cli, corpus_args, tmp_path):
     bad = tmp_path / "bad.tfm"
     bad.write_text("module broken\n", encoding="utf-8")

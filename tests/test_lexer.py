@@ -4,11 +4,12 @@ from __future__ import annotations
 import pytest
 
 from xformlens import ParseError, parse_metamodel, parse_transformation
-from xformlens.lexer import tokenize
+from xformlens.lexer import TokenStream, tokenize
 
 
 def stream(source):
-    return [(t.kind, t.text, t.line, t.column, t.offset) for t in tokenize(source)]
+    ts = TokenStream(source)
+    return [(t.kind, t.text, *ts.position(t), t.offset) for t in ts.tokens]
 
 
 def texts(source):
@@ -127,3 +128,49 @@ def test_non_decimal_numeric_characters_begin_identifiers():
         ("ident", "²", 1, 7, 6),
         ("eof", "", 1, 8, 7),
     ]
+
+
+_HEADER = "module t;\ncreate OUT : M from IN : M;\n"
+
+
+# Each way `capture_balanced` fails, in both parsers: end of input, a
+# closing bracket with no opener, and an empty run before the stop.
+@pytest.mark.parametrize(
+    "parse, source, message",
+    [
+        (
+            parse_transformation,
+            _HEADER + "rule r { from s : M!A (s.x = (1 to t : M!A() }",
+            "p:3:47: unterminated guard expression",
+        ),
+        (
+            parse_transformation,
+            _HEADER + "rule r { from s : M!A () to t : M!A() }",
+            "p:3:24: expected guard expression",
+        ),
+        (
+            parse_transformation,
+            _HEADER + "rule r { from s : M!A to t : M!A(x <- ) }",
+            "p:3:39: expected binding expression",
+        ),
+        (
+            parse_transformation,
+            _HEADER + "helper def : h : Boolean = (1]",
+            "p:3:31: unterminated helper body",
+        ),
+        (
+            parse_metamodel,
+            "metamodel M { class A { attr x : Int [0..; } }",
+            "p:1:44: unbalanced '}' in multiplicity",
+        ),
+        (
+            parse_metamodel,
+            "metamodel M { class A { attr x : Int []; } }",
+            "p:1:39: expected multiplicity",
+        ),
+    ],
+)
+def test_balanced_capture_errors(parse, source, message):
+    with pytest.raises(ParseError) as exc:
+        parse(source, path="p")
+    assert str(exc.value) == message

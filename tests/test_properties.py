@@ -26,7 +26,7 @@ from xformlens import (
     table_from_json,
 )
 from xformlens.cli import COMMANDS, main
-from xformlens.lexer import tokenize
+from xformlens.lexer import TokenStream
 
 from helpers import (
     naive_profiles,
@@ -198,14 +198,16 @@ _LEXICAL = " \t\r\n-<>.'!(;a_1²½é"
 @settings(deadline=None)
 def test_tokens_tile_the_source(source):
     try:
-        tokens = tokenize(source)
+        ts = TokenStream(source)
     except ParseError:
         return
+    tokens = ts.tokens
     end = 0
     for tok in tokens:
         assert source.startswith(tok.text, tok.offset)
-        assert tok.line == source.count("\n", 0, tok.offset) + 1
-        assert tok.column == tok.offset - source.rfind("\n", 0, tok.offset)
+        line, column = ts.position(tok)
+        assert line == source.count("\n", 0, tok.offset) + 1
+        assert column == tok.offset - source.rfind("\n", 0, tok.offset)
         # Between two tokens there are only blanks and `--` comments.
         gap = source[end : tok.offset].split("\n")
         for piece in gap[:-1]:
