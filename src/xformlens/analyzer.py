@@ -23,15 +23,6 @@ class Mode(Enum):
     CONDITIONALLY = "conditionally"
     LAZILY = "lazily"
 
-    @property
-    def label(self) -> str:
-        # Table-style abbreviation; only "conditionally" is shortened.
-        return "cond." if self is Mode.CONDITIONALLY else self.value
-
-
-# Canonical order for serialized mode sets.
-MODE_ORDER = (Mode.ALWAYS, Mode.CONDITIONALLY, Mode.LAZILY)
-
 
 class RuleClassification(NamedTuple):
     action: str  # "copy" | "mutation"

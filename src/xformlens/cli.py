@@ -78,7 +78,7 @@ def _write_out(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(out_path, "w", encoding="utf-8", errors="surrogateescape") as fh:
             fh.write(text)
     except OSError as exc:
         _fail(str(exc), 1)
@@ -128,6 +128,8 @@ def main(argv: list[str] | None = None) -> None:
     for flag, spec in options:
         parser.add_argument(flag, **spec)
     args = parser.parse_intermixed_args(argv[1:])
+    if hasattr(sys.stdout, "reconfigure"):  # a file name's undecodable bytes go out as they came in
+        sys.stdout.reconfigure(errors="surrogateescape")
     try:
         code = fn(**vars(args))
         sys.stdout.flush()

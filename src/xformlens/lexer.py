@@ -34,6 +34,8 @@ class Token(NamedTuple):
     def describe(self) -> str:
         if self.kind == "eof":
             return "end of input"
+        if self.kind == "symbol" and not self.text.isprintable():
+            return f"U+{ord(self.text):04X}"  # an invisible or line-breaking character, by code point
         return f"'{self.text}'"
 
 

@@ -11,13 +11,15 @@ import json
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .analyzer import MODE_ORDER, AnalysisReport, Lint, Mode
+from .analyzer import AnalysisReport, Lint, Mode
 from .metamodel import declaration_order
 
-FORMATS = ("markdown", "html", "latex", "json")
-
-# Copy/mutation labels list the rarest mode first, as in "lazily, cond."
-_MODE_DISPLAY_ORDER = (Mode.LAZILY, Mode.CONDITIONALLY, Mode.ALWAYS)
+# Table labels of the modes, in display order: the rarest mode comes
+# first, as in "lazily, cond.".
+_MODE_LABELS = {Mode.LAZILY: "lazily", Mode.CONDITIONALLY: "cond.", Mode.ALWAYS: "always"}
+# JSON lists a mode set in Mode's declaration order. A tuple, since
+# iterating the enum itself runs a generator on every call.
+_MODE_ORDER = tuple(Mode)
 
 
 class _TableFields(NamedTuple):
@@ -50,19 +52,11 @@ class ProfileGroup(NamedTuple):
 
 
 def mode_set_label(modes: frozenset[Mode]) -> str:
-    if not modes:
-        return "never"
-    return ", ".join(m.label for m in _MODE_DISPLAY_ORDER if m in modes)
+    return ", ".join(label for m, label in _MODE_LABELS.items() if m in modes) or "never"
 
 
-def _pair_key(
-    copy_modes: frozenset[Mode], mutation_modes: frozenset[Mode]
-) -> tuple[int, str, str]:
-    return (len(copy_modes), mode_set_label(copy_modes), mode_set_label(mutation_modes))
-
-
-def _pair_label(copy_modes: frozenset[Mode], mutation_modes: frozenset[Mode]) -> str:
-    return f"Copy: {mode_set_label(copy_modes)} / Mutation: {mode_set_label(mutation_modes)}"
+def _pair_key(g: ProfileGroup) -> tuple[int, str, str]:
+    return (len(g.copy_modes), mode_set_label(g.copy_modes), mode_set_label(g.mutation_modes))
 
 
 def profile_groups(report: AnalysisReport) -> tuple[ProfileGroup, ...]:
@@ -78,10 +72,10 @@ def profile_groups(report: AnalysisReport) -> tuple[ProfileGroup, ...]:
         p = report.profiles[c]
         buckets.setdefault((p.copy_modes, p.mutation_modes), []).append(c)
     groups = [
-        ProfileGroup(cm, mm, tuple(cs), _pair_label(cm, mm))
+        ProfileGroup(cm, mm, tuple(cs), f"Copy: {mode_set_label(cm)} / Mutation: {mode_set_label(mm)}")
         for (cm, mm), cs in buckets.items()
     ]
-    groups.sort(key=lambda g: _pair_key(g.copy_modes, g.mutation_modes))
+    groups.sort(key=_pair_key)
     return tuple(groups)
 
 
@@ -105,37 +99,31 @@ def ignored_table(reports: Sequence[AnalysisReport]) -> Table:
 def referenced_table(reports: Sequence[AnalysisReport]) -> Table:
     """One column per distinct profile pair, one row per transformation.
 
-    In each row the unique largest group collapses to "ALL OTHER"; on a
-    size tie every group is listed explicitly. Pairs absent from a row
-    render as "NONE".
+    A pair is known by its group's rendered label. In each row the unique
+    largest group collapses to "ALL OTHER"; on a size tie every group is
+    listed explicitly. Pairs absent from a row render as "NONE".
     """
     per_report = [profile_groups(r) for r in reports]
-    pairs = sorted(
-        {(g.copy_modes, g.mutation_modes) for groups in per_report for g in groups},
-        key=lambda pair: _pair_key(*pair),
-    )
-    header = ("Transformation",) + tuple(_pair_label(*pair) for pair in pairs)
+    columns = {g.rendered_label: g for groups in per_report for g in groups}
+    labels = sorted(columns, key=lambda label: _pair_key(columns[label]))
 
     rows = []
     for r, groups in zip(reports, per_report):
-        by_pair = {(g.copy_modes, g.mutation_modes): g for g in groups}
-        collapsed = None
-        if groups:
-            largest = max(len(g.concepts) for g in groups)
-            top = [g for g in groups if len(g.concepts) == largest]
-            if len(top) == 1:
-                collapsed = (top[0].copy_modes, top[0].mutation_modes)
+        by_label = {g.rendered_label: g for g in groups}
+        largest = max((len(g.concepts) for g in groups), default=0)
+        top = [g.rendered_label for g in groups if len(g.concepts) == largest]
+        collapsed = top[0] if len(top) == 1 else None
         cells = []
-        for pair in pairs:
-            group = by_pair.get(pair)
+        for label in labels:
+            group = by_label.get(label)
             if group is None:
                 cells.append("NONE")
-            elif pair == collapsed:
+            elif label == collapsed:
                 cells.append("ALL OTHER")
             else:
                 cells.append(", ".join(group.concepts))
         rows.append((r.transformation,) + tuple(cells))
-    return Table("Referenced metaelements", header, tuple(rows))
+    return Table("Referenced metaelements", ("Transformation", *labels), tuple(rows))
 
 
 def report_table(report: AnalysisReport) -> Table:
@@ -167,18 +155,6 @@ def lint_text(d: Lint, kind: str | None = None, fallback: str | None = None) -> 
         where = f"{d.file}:{d.line}:{d.column}"
     prefix = "" if where is None else f"{where}: "
     return f"{prefix}{kind or d.kind}: {d.message}"
-
-
-def render(table: Table, fmt: str) -> str:
-    if fmt == "markdown":
-        return _render_markdown(table)
-    if fmt == "html":
-        return _render_html(table)
-    if fmt == "latex":
-        return _render_latex(table)
-    if fmt == "json":
-        return _render_json(table)
-    raise ValueError(f"unknown format '{fmt}' (expected one of {', '.join(FORMATS)})")
 
 
 def _render_markdown(table: Table) -> str:
@@ -247,12 +223,18 @@ def _render_latex(table: Table) -> str:
 
 
 def _render_json(table: Table) -> str:
-    payload = {
-        "title": table.title,
-        "header": list(table.header),
-        "rows": [list(r) for r in table.rows],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(table._asdict(), indent=2) + "\n"  # tuples encode as arrays
+
+
+_RENDERERS = {"markdown": _render_markdown, "html": _render_html, "latex": _render_latex, "json": _render_json}
+FORMATS = tuple(_RENDERERS)
+
+
+def render(table: Table, fmt: str) -> str:
+    renderer = _RENDERERS.get(fmt)
+    if renderer is None:
+        raise ValueError(f"unknown format '{fmt}' (expected one of {', '.join(FORMATS)})")
+    return renderer(table)
 
 
 def table_from_json(text: str) -> Table:
@@ -260,10 +242,10 @@ def table_from_json(text: str) -> Table:
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("table JSON must be an object")
-    for key in ("title", "header", "rows"):
+    for key in Table._fields:
         if key not in data:
             raise ValueError(f"table JSON lacks key '{key}'")
-    title, header, rows = data["title"], data["header"], data["rows"]
+    title, header, rows = (data[key] for key in Table._fields)
     if not isinstance(title, str):
         raise ValueError("table title must be a string")
     if not isinstance(header, list) or not all(isinstance(h, str) for h in header):
@@ -279,7 +261,7 @@ def report_to_json(report: AnalysisReport) -> dict:
     """Serialize a report to the documented JSON shape (plain dict)."""
 
     def modes(values: frozenset[Mode]) -> list[str]:
-        return [m.value for m in MODE_ORDER if m in values]
+        return [m.value for m in _MODE_ORDER if m in values]
 
     src = declaration_order(report.source_concepts)
     tgt = declaration_order(report.target_concepts)

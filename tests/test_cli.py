@@ -157,6 +157,15 @@ def test_analyze_parse_error_reports_position(cli, corpus_args, tmp_path):
     assert "bad.tfm:" in result.err
 
 
+@pytest.mark.parametrize("char", ["\u200b", "\u00a0", "\f", "\0", "\u2028"])
+def test_parse_error_on_an_invisible_character_is_one_line(cli, corpus_args, tmp_path, char):
+    bad = tmp_path / "zw.cmm"
+    bad.write_text("metamodel M {" + char, encoding="utf-8")
+    result = cli(["lint", str(bad), corpus_args[1]])
+    assert result.exit_code == 1
+    assert result.err.splitlines() == [f"error: {bad}:1:14: expected 'class', found U+{ord(char):04X}"]
+
+
 @pytest.fixture()
 def unknown_concept_module(tmp_path):
     mm = tmp_path / "mini.cmm"
@@ -433,3 +442,22 @@ def test_lint_exits_quietly_when_stdout_is_closed(cli, tmp_path):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""  # no traceback
+
+
+@pytest.mark.parametrize("command", [["lint"], ["analyze"], ["analyze", "--out", "o.md"]])
+def test_an_undecodable_file_name_is_printed_as_its_bytes(tmp_path, command):
+    (tmp_path / "mini.cmm").write_text("metamodel M { class A {} }\n", encoding="utf-8")
+    (tmp_path / "d").mkdir()
+    try:
+        tfm = tmp_path / "d" / os.fsdecode(b"\xff.tfm")
+        tfm.write_text(
+            "module t;\ncreate OUT : M from IN : M;\nrule r { from s : M!A to t : M!Ghost() }\n", encoding="utf-8"
+        )
+    except (OSError, UnicodeError):
+        pytest.skip("the file system refuses a non-UTF-8 file name")
+    env = dict(_subprocess_env(), PYTHONIOENCODING="utf-8:strict")
+    argv = [sys.executable, "-m", "xformlens", *command, "mini.cmm", os.fsdecode(b"d/\xff.tfm")]
+    proc = subprocess.run(argv, cwd=tmp_path, capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    out = (tmp_path / "o.md").read_bytes() if "--out" in command else proc.stdout
+    assert b"d/\xff.tfm:3:30: unknown_concept: " in out

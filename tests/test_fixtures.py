@@ -1,17 +1,10 @@
 """Corpus integrity and golden-file reproduction."""
 from __future__ import annotations
 
-import json
+import sys
+from pathlib import Path
 
-from xformlens import (
-    FIXTURE_NAMES,
-    analyze,
-    corpus_dir,
-    ignored_table,
-    referenced_table,
-    render,
-    report_to_json,
-)
+from xformlens import FIXTURE_NAMES, analyze, corpus_dir
 
 from helpers import (
     RULE_COPY_ALWAYS,
@@ -19,6 +12,10 @@ from helpers import (
     RULE_COPY_LAZY,
     RULE_MUTATION_GUARDED,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+from regen_goldens import golden_texts  # noqa: E402
 
 
 def test_fixture_names_are_stable():
@@ -62,21 +59,13 @@ def test_reference_snippets_ship_inside_the_corpus():
     assert RULE_MUTATION_GUARDED in er
 
 
-def test_ignored_table_golden_bytes(reports):
-    expected = (corpus_dir() / "table2.md").read_text(encoding="utf-8")
-    assert render(ignored_table(list(reports.values())), "markdown") == expected
-
-
-def test_referenced_table_golden_bytes(reports):
-    expected = (corpus_dir() / "table3.md").read_text(encoding="utf-8")
-    assert render(referenced_table(list(reports.values())), "markdown") == expected
-
-
-def test_report_golden_bytes(reports):
-    for name, report in reports.items():
-        path = corpus_dir() / "reports" / f"{name}.json"
-        expected = path.read_text(encoding="utf-8")
-        assert json.dumps(report_to_json(report), indent=2) + "\n" == expected
+def test_goldens_match_the_regeneration_tool(reports):
+    texts = golden_texts(list(reports.values()))
+    for name, text in texts.items():
+        assert (corpus_dir() / name).read_bytes() == text.encode("utf-8"), name
+    # perfbench/workloads.py takes corpus-cli's transformations from this directory.
+    held = {f"reports/{p.name}" for p in (corpus_dir() / "reports").iterdir()}
+    assert held == {name for name in texts if name.startswith("reports/")}
 
 
 def test_fixture_paths_feed_diagnostics(corpus):

@@ -174,3 +174,13 @@ def test_balanced_capture_errors(parse, source, message):
     with pytest.raises(ParseError) as exc:
         parse(source, path="p")
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "char, shown",
+    [("\u200b", "U+200B"), ("\u00a0", "U+00A0"), ("\f", "U+000C"), ("\0", "U+0000"), ("\u2028", "U+2028")],
+)
+def test_invisible_symbols_are_named_by_code_point(char, shown):
+    with pytest.raises(ParseError) as exc:
+        parse_metamodel("metamodel M {" + char)
+    assert str(exc.value) == f"1:14: expected 'class', found {shown}"

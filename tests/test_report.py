@@ -93,9 +93,11 @@ def test_json_render_round_trips():
 
 def test_unknown_format_is_rejected():
     table = Table("T", ("a",), ())
-    with pytest.raises(ValueError):
-        render(table, "rst")
-    assert set(FORMATS) == {"markdown", "html", "latex", "json"}
+    with pytest.raises(ValueError) as exc:
+        render(table, "xml")
+    assert str(exc.value) == "unknown format 'xml' (expected one of markdown, html, latex, json)"
+    # `--format` takes its choices, in this order, from FORMATS.
+    assert FORMATS == ("markdown", "html", "latex", "json")
 
 
 def test_table_from_json_validates_shape():

@@ -26,29 +26,26 @@ from xformlens import (
 )
 
 
+def golden_texts(reports) -> dict[str, str]:
+    """Each golden file's path under `fixtures/`, mapped to its text."""
+    texts = {
+        "table2.md": render(ignored_table(reports), "markdown"),
+        "table3.md": render(referenced_table(reports), "markdown"),
+    }
+    for r in reports:
+        texts[f"reports/{r.transformation}.json"] = json.dumps(report_to_json(r), indent=2) + "\n"
+    return texts
+
+
 def main() -> None:
-    root = Path(__file__).resolve().parents[1]
-    fixtures = root / "fixtures"
+    fixtures = Path(__file__).resolve().parents[1] / "fixtures"
     mm, transformations = fixture_corpus()
     reports = [analyze(t, mm, mm) for t in transformations]
-
-    (fixtures / "table2.md").write_text(
-        render(ignored_table(reports), "markdown"), encoding="utf-8"
-    )
-    (fixtures / "table3.md").write_text(
-        render(referenced_table(reports), "markdown"), encoding="utf-8"
-    )
-
-    out = fixtures / "reports"
-    out.mkdir(exist_ok=True)
-    for r in reports:
-        path = out / f"{r.transformation}.json"
-        path.write_text(
-            json.dumps(report_to_json(r), indent=2) + "\n", encoding="utf-8"
-        )
-        print("wrote", path.relative_to(root))
-    print("wrote", (fixtures / "table2.md").relative_to(root))
-    print("wrote", (fixtures / "table3.md").relative_to(root))
+    for name, text in golden_texts(reports).items():
+        path = fixtures / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(text.encode("utf-8"))
+        print("wrote", Path("fixtures", name))
 
 
 if __name__ == "__main__":
