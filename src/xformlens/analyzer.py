@@ -118,6 +118,7 @@ def analyze(
 
     source_concepts = concrete_concepts(source_mm)
     target_concepts = concrete_concepts(target_mm)
+    source_concrete = frozenset(source_concepts)
     target_concrete = frozenset(target_concepts)
 
     unknown: list[Lint] = []
@@ -160,10 +161,8 @@ def analyze(
         for ref in h.body.refs:
             resolve(ref, owner, read)
 
-    copy_modes: dict[str, set[Mode]] = {c: set() for c in source_concepts}
-    mutation_modes: dict[str, set[Mode]] = {c: set() for c in source_concepts}
-    produced_as: dict[str, set[str]] = {c: set() for c in source_concepts}
-
+    # An entry exists only for a concept some rule folds into, so it holds a mode.
+    folded: dict[str, tuple[set[Mode], set[Mode], set[str]]] = {}
     for r in t.rules:
         owner = f"rule '{r.name}'"
         src = r.source_concept
@@ -177,33 +176,29 @@ def analyze(
                 for ref in b.value.refs:
                     resolve(ref, owner, read)
 
-        if not patterns_ok or src.name not in copy_modes:
+        if not patterns_ok or src.name not in source_concrete:
             continue
         cls = classify_rule(r)
-        produced = cls.targets[1:] if cls.action == "copy" else cls.targets
+        copy_modes, mutation_modes, produced_as = folded.setdefault(src.name, (set(), set(), set()))
         if cls.action == "copy":
-            copy_modes[src.name].add(cls.mode)
+            copy_modes.add(cls.mode)
+            produced_as.update(cls.targets[1:])
         else:
-            mutation_modes[src.name].add(cls.mode)
-        produced_as[src.name].update(n for n in produced if n in target_concrete)
+            mutation_modes.add(cls.mode)
+            produced_as.update(cls.targets)
 
-    profiles = {
-        c: ConceptProfile(
-            c,
-            frozenset(copy_modes[c]),
-            frozenset(mutation_modes[c]),
-            frozenset(produced_as[c]),
+    profiles = {c: ConceptProfile(c) for c in source_concepts}
+    for c, (copy_modes, mutation_modes, produced_as) in folded.items():
+        profiles[c] = ConceptProfile(
+            c, frozenset(copy_modes), frozenset(mutation_modes), target_concrete.intersection(produced_as)
         )
-        for c in source_concepts
-    }
 
     ignored_in = frozenset(c for c in source_concepts if c not in mentioned_source)
     ignored_out = frozenset(c for c in target_concepts if c not in mentioned_target)
 
     diagnostics = sorted(unknown, key=lambda l: (l.line, l.column))
     for c in source_concepts:
-        p = profiles[c]
-        if not p.copy_modes and not p.mutation_modes and c in mentioned_source:
+        if c in mentioned_source and c not in folded:
             diagnostics.append(
                 Lint(
                     "never_processed",
@@ -235,8 +230,8 @@ def analyze(
         target_concepts=target_concepts,
         ignored_in=ignored_in,
         ignored_out=ignored_out,
-        refined_domain=frozenset(source_concepts) - ignored_in,
-        refined_codomain=frozenset(target_concepts) - ignored_out,
+        refined_domain=source_concrete - ignored_in,
+        refined_codomain=target_concrete - ignored_out,
         diagnostics=tuple(diagnostics),
     )
 

@@ -6,6 +6,7 @@ unknown_concept diagnostics, 3 no chain plan found.
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import os
 import sys
@@ -23,6 +24,13 @@ _KIND_COLORS = {
     "ignored_in": "36",
     "ignored_out": "36",
 }
+
+
+def _bytes_or_escape(exc: UnicodeEncodeError) -> tuple[bytes, int]:
+    """Write a file name's undecodable byte as itself, any other unencodable character as an escape."""
+    ch = exc.object[exc.start]
+    raw = ord(ch) - 0xDC00  # surrogateescape carries byte 0x80-0xFF as U+DC80-U+DCFF
+    return (bytes([raw]) if 0x80 <= raw <= 0xFF else ch.encode("ascii", "backslashreplace")), exc.start + 1
 
 
 def _fail(message: str, code: int):
@@ -114,6 +122,10 @@ def _command(name: str, *options: tuple[str, dict]):
 def main(argv: list[str] | None = None) -> None:
     """Static analyzer for rule-based model transformations."""
     argv = sys.argv[1:] if argv is None else argv
+    codecs.register_error("xformlens.bytes", _bytes_or_escape)
+    for stream in (sys.stdout, sys.stderr):  # one spelling of a file name on both streams
+        if hasattr(stream, "reconfigure"):
+            stream.reconfigure(errors="xformlens.bytes")
     name = argv[0] if argv else None
     if name not in COMMANDS:
         # Options may sit between the paths, which subparsers reject, so
@@ -128,8 +140,6 @@ def main(argv: list[str] | None = None) -> None:
     for flag, spec in options:
         parser.add_argument(flag, **spec)
     args = parser.parse_intermixed_args(argv[1:])
-    if hasattr(sys.stdout, "reconfigure"):  # a file name's undecodable bytes go out as they came in
-        sys.stdout.reconfigure(errors="surrogateescape")
     try:
         code = fn(**vars(args))
         sys.stdout.flush()

@@ -34,9 +34,11 @@ class Token(NamedTuple):
     def describe(self) -> str:
         if self.kind == "eof":
             return "end of input"
-        if self.kind == "symbol" and not self.text.isprintable():
-            return f"U+{ord(self.text):04X}"  # an invisible or line-breaking character, by code point
-        return f"'{self.text}'"
+        if self.text.isprintable():
+            return f"'{self.text}'"
+        # An invisible or line-breaking character is named by code point: the error stays one line.
+        shown = "".join(ch if ch.isprintable() else f"U+{ord(ch):04X}" for ch in self.text)
+        return shown if self.kind == "symbol" else f"'{shown}'"
 
 
 # Blanks and comments are skipped before every token; the named group

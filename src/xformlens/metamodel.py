@@ -7,6 +7,7 @@ along, but only names, abstractness, and inheritance matter to analysis.
 from __future__ import annotations
 
 from collections.abc import Callable, Collection, Sequence
+from graphlib import CycleError, TopologicalSorter
 from typing import NamedTuple
 
 from .lexer import ParseError, Token, TokenStream, capture_balanced
@@ -29,16 +30,6 @@ class Concept(NamedTuple):
 class Metamodel(NamedTuple):
     name: str
     concepts: tuple[Concept, ...] = ()
-    source_path: str | None = None
-
-    def __eq__(self, other):  # source_path says where the text came from, not what it is
-        return self[:-1] == other[:-1] if isinstance(other, Metamodel) else NotImplemented
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:-1])
 
     @property
     def concept_names(self) -> frozenset[str]:
@@ -91,8 +82,8 @@ def parse_metamodel(source_text: str, *, path: str | None = None) -> Metamodel:
         )
     ts.expect_eof()
 
-    _validate_inheritance(ts, concepts, decl_tokens, super_tokens)
-    return Metamodel(name, tuple(concepts), source_path=path)
+    _validate_inheritance(ts, decl_tokens, super_tokens)
+    return Metamodel(name, tuple(concepts))
 
 
 def _parse_feature(ts: TokenStream) -> Feature:
@@ -113,43 +104,23 @@ def _parse_feature(ts: TokenStream) -> Feature:
 
 
 def _validate_inheritance(
-    ts: TokenStream,
-    concepts: list[Concept],
-    decl_tokens: dict[str, Token],
-    super_tokens: list[tuple[str, Token]],
+    ts: TokenStream, decl_tokens: dict[str, Token], super_tokens: list[tuple[str, Token]]
 ) -> None:
-    known = {c.name for c in concepts}
+    # graphlib walks nodes, and each node's successors (here its supertypes),
+    # in insertion order and without recursion, so a deep chain cannot exhaust
+    # the stack. All concepts go in before any edge: the walk starts at the first.
+    graph = TopologicalSorter()
+    for name in decl_tokens:
+        graph.add(name)
     for owner, st in super_tokens:
-        if st.text not in known:
-            raise ts.error(
-                f"unknown supertype '{st.text}' of concept '{owner}'", st
-            )
-
-    # Three-color DFS over the extends edges; a back edge is a cycle.
-    # Iterative, so a deep extends chain cannot exhaust the call stack.
-    supers = {c.name: c.supertypes for c in concepts}
-    color: dict[str, int] = {}
-    for c in concepts:
-        if c.name in color:
-            continue
-        color[c.name] = 1
-        stack_path = [c.name]
-        pending = [iter(c.supertypes)]
-        while pending:
-            parent = next(pending[-1], None)
-            if parent is None:
-                color[stack_path.pop()] = 2
-                pending.pop()
-            elif color.get(parent, 0) == 1:
-                cycle = stack_path[stack_path.index(parent) :] + [parent]
-                raise ts.error(
-                    "inheritance cycle: " + " -> ".join(cycle),
-                    decl_tokens[parent],
-                )
-            elif parent not in color:
-                color[parent] = 1
-                stack_path.append(parent)
-                pending.append(iter(supers[parent]))
+        if st.text not in decl_tokens:
+            raise ts.error(f"unknown supertype '{st.text}' of concept '{owner}'", st)
+        graph.add(st.text, owner)
+    try:
+        graph.prepare()
+    except CycleError as exc:
+        cycle = exc.args[1]
+        raise ts.error("inheritance cycle: " + " -> ".join(cycle), decl_tokens[cycle[0]]) from None
 
 
 def concrete_concepts(mm: Metamodel) -> tuple[str, ...]:

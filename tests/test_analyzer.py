@@ -135,6 +135,14 @@ def test_unresolvable_target_gates_the_whole_rule(pivot):
     assert "unknown_concept" in kinds
 
 
+def test_a_concept_read_only_by_a_gated_rule_is_never_processed(pivot):
+    body = "rule Gated {\n\tfrom\n\t\ts : CPPivot!Record\n\tto\n\t\tt : CPPivot!Ghost()\n}"
+    report = analyze(parse_transformation(wrap_rules(body)), pivot, pivot)
+    assert report.profiles["Record"] == ("Record", frozenset(), frozenset(), frozenset())
+    findings = [(d.kind, d.subject) for d in report.diagnostics if not d.kind.startswith("ignored")]
+    assert findings == [("unknown_concept", "CPPivot!Ghost"), ("never_processed", "Record")]
+
+
 def test_unknown_source_concept_is_linted_and_skipped(pivot):
     body = (
         "rule Ghostly {\n"

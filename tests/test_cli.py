@@ -157,13 +157,17 @@ def test_analyze_parse_error_reports_position(cli, corpus_args, tmp_path):
     assert "bad.tfm:" in result.err
 
 
-@pytest.mark.parametrize("char", ["\u200b", "\u00a0", "\f", "\0", "\u2028"])
-def test_parse_error_on_an_invisible_character_is_one_line(cli, corpus_args, tmp_path, char):
+@pytest.mark.parametrize(
+    "char, shown",
+    [pytest.param(c, f"U+{ord(c):04X}", id=c) for c in ["\u200b", "\u00a0", "\f", "\0", "\u2028"]]
+    + [pytest.param(f"'a{c}b'", f"''aU+{ord(c):04X}b''", id=f"'a{c}b'") for c in ["\f", "\u2028", "\u200b", "\0"]],
+)
+def test_parse_error_on_an_invisible_character_is_one_line(cli, corpus_args, tmp_path, char, shown):
     bad = tmp_path / "zw.cmm"
     bad.write_text("metamodel M {" + char, encoding="utf-8")
     result = cli(["lint", str(bad), corpus_args[1]])
     assert result.exit_code == 1
-    assert result.err.splitlines() == [f"error: {bad}:1:14: expected 'class', found U+{ord(char):04X}"]
+    assert result.err.splitlines() == [f"error: {bad}:1:14: expected 'class', found {shown}"]
 
 
 @pytest.fixture()
@@ -461,3 +465,29 @@ def test_an_undecodable_file_name_is_printed_as_its_bytes(tmp_path, command):
     assert proc.returncode == 0, proc.stderr
     out = (tmp_path / "o.md").read_bytes() if "--out" in command else proc.stdout
     assert b"d/\xff.tfm:3:30: unknown_concept: " in out
+
+
+def test_an_undecodable_file_name_has_one_spelling_on_stderr(tmp_path):
+    (tmp_path / "mini.cmm").write_text("metamodel M { class A {} }\n", encoding="utf-8")
+    (tmp_path / "d").mkdir()
+    try:
+        tfm = tmp_path / "d" / os.fsdecode(b"\xfe.tfm")
+        tfm.write_text("module t;\ncreate OUT : M from IN : M;\nrule r { from s : M!A to t : }\n", encoding="utf-8")
+    except (OSError, UnicodeError):
+        pytest.skip("the file system refuses a non-UTF-8 file name")
+    env = dict(_subprocess_env(), PYTHONIOENCODING="utf-8:strict")
+    argv = [sys.executable, "-m", "xformlens", "lint", "mini.cmm", os.fsdecode(b"d/\xfe.tfm")]
+    proc = subprocess.run(argv, cwd=tmp_path, capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert b"d/\xfe.tfm:3:" in proc.stderr
+    assert b"\\udcfe" not in proc.stderr
+
+
+def test_an_error_the_stderr_encoding_cannot_hold_is_escaped(tmp_path):
+    (tmp_path / "s.cmm").write_text("metamodel M { \u00a7 }", encoding="utf-8")
+    (tmp_path / "t.tfm").write_text("module t;\ncreate OUT : M from IN : M;\n", encoding="utf-8")
+    env = dict(_subprocess_env(), PYTHONIOENCODING="ascii")
+    argv = [sys.executable, "-m", "xformlens", "lint", "s.cmm", "t.tfm"]
+    proc = subprocess.run(argv, cwd=tmp_path, capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: s.cmm:1:15: expected 'class', found '\\xa7'\n"

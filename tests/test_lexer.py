@@ -184,3 +184,13 @@ def test_invisible_symbols_are_named_by_code_point(char, shown):
     with pytest.raises(ParseError) as exc:
         parse_metamodel("metamodel M {" + char)
     assert str(exc.value) == f"1:14: expected 'class', found {shown}"
+
+
+@pytest.mark.parametrize(
+    "char, shown",
+    [("\f", "U+000C"), ("\u2028", "U+2028"), ("\u200b", "U+200B"), ("\0", "U+0000")],
+)
+def test_invisible_characters_in_a_string_are_named_by_code_point(char, shown):
+    with pytest.raises(ParseError) as exc:
+        parse_metamodel("metamodel M { 'a" + char + "b' }")
+    assert str(exc.value) == f"1:15: expected 'class', found ''a{shown}b''"

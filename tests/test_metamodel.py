@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xformlens import (
+    Metamodel,
     ParseError,
     concrete_concepts,
     parse_metamodel,
@@ -90,12 +92,81 @@ def test_inheritance_cycle_is_rejected():
     assert "A -> B -> A" in message or "B -> A -> B" in message
 
 
+@pytest.mark.parametrize(
+    "classes, position, cycle",
+    [
+        ("class A extends B {} class B extends C {} class C extends A {}", "1:21", "A -> B -> C -> A"),
+        ("class A extends A {}", "1:21", "A -> A"),
+        ("class D extends A {} class A extends B {} class B extends A {}", "1:42", "A -> B -> A"),
+        ("class P extends Q {} class Q extends P {} class X extends Y {} class Y extends X {}", "1:21", "P -> Q -> P"),
+        ("class A extends R, B {} class R {} class B extends A {}", "1:21", "A -> B -> A"),
+    ],
+)
+def test_inheritance_cycle_messages(classes, position, cycle):
+    # The walk starts at the first declared concept and follows supertypes
+    # in declared order; the error points at the cycle's first concept.
+    with pytest.raises(ParseError) as exc:
+        parse_metamodel(f"metamodel M {{ {classes} }}", path="m.cmm")
+    assert str(exc.value) == f"m.cmm:{position}: inheritance cycle: {cycle}"
+
+
+def _acyclic(supertypes: dict[str, tuple[str, ...]]) -> bool:
+    """Kahn's algorithm: repeatedly remove concepts that no remaining concept extends."""
+    subtypes = {name: 0 for name in supertypes}
+    for parents in supertypes.values():
+        for parent in parents:
+            subtypes[parent] += 1
+    ready = [name for name, n in subtypes.items() if n == 0]
+    removed = 0
+    while ready:
+        removed += 1
+        for parent in supertypes[ready.pop()]:
+            subtypes[parent] -= 1
+            if subtypes[parent] == 0:
+                ready.append(parent)
+    return removed == len(supertypes)
+
+
+extends_graphs = st.integers(1, 9).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, n - 1), max_size=3), min_size=n, max_size=n)
+)
+
+
+@given(extends_graphs)
+@settings(deadline=None)
+def test_a_metamodel_parses_exactly_when_its_extends_relation_is_acyclic(graph):
+    supertypes = {f"C{i}": tuple(f"C{j}" for j in parents) for i, parents in enumerate(graph)}
+    text = "metamodel M { " + " ".join(
+        f"class {name} extends {', '.join(parents)} {{}}" if parents else f"class {name} {{}}"
+        for name, parents in supertypes.items()
+    ) + " }"
+    try:
+        mm = parse_metamodel(text)
+    except ParseError as exc:
+        assert exc.message.startswith("inheritance cycle: ")
+        cycle = exc.message.removeprefix("inheritance cycle: ").split(" -> ")
+        assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+        assert all(parent in supertypes[child] for child, parent in zip(cycle, cycle[1:]))
+        assert (exc.line, exc.column) == (1, text.index(f"class {cycle[0]} ") + len("class ") + 1)
+    else:
+        assert _acyclic(supertypes)
+        assert {c.name: c.supertypes for c in mm.concepts} == supertypes
+
+
 def test_deep_child_first_extends_chain_parses():
     depth = 3000
     classes = " ".join(f"class C{i} extends C{i + 1} {{}}" for i in range(depth - 1))
     mm = parse_metamodel(f"metamodel M {{ {classes} class C{depth - 1} {{}} }}")
     assert len(mm.concepts) == depth
     assert mm.concept("C0").supertypes == ("C1",)
+
+
+def test_a_metamodel_records_no_path():
+    text = "metamodel M { class A {} }"
+    a, b = parse_metamodel(text, path="a.cmm"), parse_metamodel(text, path="b.cmm")
+    assert a == b and hash(a) == hash(b)
+    assert sorted([a, parse_metamodel(text)]) == [a, a]
+    assert "source_path" not in Metamodel._fields
 
 
 def test_parse_error_carries_position():
@@ -116,7 +187,7 @@ def test_pretty_print_round_trips_the_pivot(pivot):
     printed = pretty_print(pivot)
     reparsed = parse_metamodel(printed)
     assert reparsed == pivot
-    assert hash(reparsed) == hash(pivot)  # source_path is in neither
+    assert hash(reparsed) == hash(pivot)  # the pivot's file path is not recorded
     assert pretty_print(reparsed) == printed
 
 
