@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import codecs
-import json
 import os
 import sys
 
@@ -15,7 +14,7 @@ from .analyzer import MetamodelMismatchError, analyze as run_analysis
 from .chain import check_chain, plan_chain
 from .lexer import ParseError
 from .metamodel import Metamodel, concrete_concepts, declaration_order, parse_metamodel
-from .report import FORMATS, ignored_table, lint_text, referenced_table, render, report_table, report_to_json
+from .report import FORMATS, lint_text, one_line, render_reports
 from .transformation import parse_transformation
 
 _KIND_COLORS = {
@@ -34,7 +33,7 @@ def _bytes_or_escape(exc: UnicodeEncodeError) -> tuple[bytes, int]:
 
 
 def _fail(message: str, code: int):
-    print(f"error: {message}", file=sys.stderr)
+    print(f"error: {one_line(message)}", file=sys.stderr)
     raise SystemExit(code)
 
 
@@ -42,26 +41,14 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        _fail(str(exc), 1)
     except UnicodeDecodeError as exc:
         _fail(f"{path}: not valid UTF-8 at byte {exc.start}", 1)
     return text.removeprefix("\ufeff")  # not "utf-8-sig": it shifts the byte offset above
 
 
 def _analyze_all(metamodel_path: str, transformation_paths: tuple[str, ...]):
-    try:
-        mm = parse_metamodel(_read(metamodel_path), path=metamodel_path)
-    except ParseError as exc:
-        _fail(str(exc), 1)
-    reports = []
-    for path in transformation_paths:
-        try:
-            t = parse_transformation(_read(path), path=path)
-            reports.append(run_analysis(t, mm, mm))
-        except (ParseError, MetamodelMismatchError) as exc:
-            _fail(str(exc), 1)
-    return mm, reports
+    mm = parse_metamodel(_read(metamodel_path), path=metamodel_path)
+    return mm, [run_analysis(parse_transformation(_read(p), path=p), mm, mm) for p in transformation_paths]
 
 
 def _concept_set(spec: str, mm: Metamodel, option: str) -> frozenset[str]:
@@ -79,17 +66,6 @@ def _concept_set(spec: str, mm: Metamodel, option: str) -> frozenset[str]:
 
 def _set_text(s: frozenset[str], mm: Metamodel) -> str:
     return ", ".join(declaration_order(concrete_concepts(mm))(s))
-
-
-def _write_out(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(out_path, "w", encoding="utf-8", errors="surrogateescape") as fh:
-            fh.write(text)
-    except OSError as exc:
-        _fail(str(exc), 1)
 
 
 def _paint(kind: str) -> str:
@@ -143,11 +119,13 @@ def main(argv: list[str] | None = None) -> None:
     try:
         code = fn(**vars(args))
         sys.stdout.flush()
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so it must come first
         # The reader has gone. Point stdout at devnull so the flush at exit
         # cannot fail again (the "Note on SIGPIPE" in the `signal` docs).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
+    except (OSError, ParseError, MetamodelMismatchError) as exc:  # every input and I/O failure ends here
+        _fail(str(exc), 1)
     if code:
         raise SystemExit(code)
 
@@ -161,13 +139,12 @@ def main(argv: list[str] | None = None) -> None:
 def analyze(metamodel_path, transformation_paths, fmt, out_path, strict):
     """Analyze transformations and render ignored/referenced tables."""
     mm, reports = _analyze_all(metamodel_path, transformation_paths)
-    if fmt == "json":
-        text = json.dumps([report_to_json(r) for r in reports], indent=2) + "\n"
+    text = render_reports(reports, fmt)
+    if out_path is None:
+        sys.stdout.write(text)
     else:
-        parts = [render(ignored_table(reports), fmt), render(referenced_table(reports), fmt)]
-        parts.extend(render(report_table(r), fmt) for r in reports)
-        text = "\n".join(parts)
-    _write_out(text, out_path)
+        with open(out_path, "w", encoding="utf-8", errors="surrogateescape") as fh:
+            fh.write(text)
     if strict and any(d.kind == "unknown_concept" for r in reports for d in r.diagnostics):
         return 2
 

@@ -20,6 +20,9 @@ _MODE_LABELS = {Mode.LAZILY: "lazily", Mode.CONDITIONALLY: "cond.", Mode.ALWAYS:
 # JSON lists a mode set in Mode's declaration order. A tuple, since
 # iterating the enum itself runs a generator on every call.
 _MODE_ORDER = tuple(Mode)
+# Every character on which str.splitlines() breaks, written as its code
+# point so that a file name cannot split a diagnostic or error line.
+_LINE_BREAKS = {ord(ch): f"U+{ord(ch):04X}" for ch in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
 class _TableFields(NamedTuple):
@@ -144,6 +147,11 @@ def report_table(report: AnalysisReport) -> Table:
     return Table(f"report: {report.transformation}", ("field", "value"), tuple(rows))
 
 
+def one_line(text: str) -> str:
+    # No line break is printable, and isprintable() is much quicker than translate().
+    return text if text.isprintable() else text.translate(_LINE_BREAKS)
+
+
 def lint_text(d: Lint, kind: str | None = None, fallback: str | None = None) -> str:
     """Format a diagnostic as `file:line:column: kind: message`.
 
@@ -154,7 +162,7 @@ def lint_text(d: Lint, kind: str | None = None, fallback: str | None = None) -> 
     if d.file is not None and d.line is not None:
         where = f"{d.file}:{d.line}:{d.column}"
     prefix = "" if where is None else f"{where}: "
-    return f"{prefix}{kind or d.kind}: {d.message}"
+    return one_line(f"{prefix}{kind or d.kind}: {d.message}")
 
 
 def _render_markdown(table: Table) -> str:
@@ -235,6 +243,15 @@ def render(table: Table, fmt: str) -> str:
     if renderer is None:
         raise ValueError(f"unknown format '{fmt}' (expected one of {', '.join(FORMATS)})")
     return renderer(table)
+
+
+def render_reports(reports: Sequence[AnalysisReport], fmt: str) -> str:
+    """The `analyze` output: a JSON array, or the ignored and referenced tables then one table per report."""
+    if fmt == "json":
+        return json.dumps([report_to_json(r) for r in reports], indent=2) + "\n"
+    parts = [render(ignored_table(reports), fmt), render(referenced_table(reports), fmt)]
+    parts.extend(render(report_table(r), fmt) for r in reports)
+    return "\n".join(parts)
 
 
 def table_from_json(text: str) -> Table:

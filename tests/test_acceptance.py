@@ -17,7 +17,6 @@ from xformlens import (
     classify_rule,
     concrete_concepts,
     detect_fixed_point,
-    fixture_corpus,
     ignored_table,
     parse_metamodel,
     parse_transformation,
@@ -30,6 +29,7 @@ from xformlens import (
     report_table,
     table_from_json,
 )
+from xformlens.fixtures import fixture_corpus
 from xformlens.report import mode_set_label
 
 from helpers import (

@@ -292,6 +292,10 @@ def test_analyze_rejects_mismatched_metamodels(pivot):
         "transformation 'probe' reads from 'Other' "
         "but metamodel 'CPPivot' was supplied" in str(exc.value)
     )
+    t = parse_transformation(wrap_rules(RULE_COPY_ALWAYS, target_mm="Other"))
+    with pytest.raises(MetamodelMismatchError) as exc:
+        analyze(t, pivot, pivot)
+    assert str(exc.value) == "transformation 'probe' writes to 'Other' but metamodel 'CPPivot' was supplied"
 
 
 def test_lint_matches_analyze_diagnostics(pivot, transformations):

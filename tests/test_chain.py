@@ -177,6 +177,25 @@ def test_plan_honors_max_len(reports, full):
     )
 
 
+def test_plan_skips_steps_that_read_another_metamodel():
+    m = parse_metamodel("metamodel M { class A {} class B {} class C {} }")
+    n = parse_metamodel("metamodel N { class A {} class B {} class C {} }")
+
+    def step(name, source, target, rule):
+        t = parse_transformation(wrap_rules(rule, name=name, source_mm=source.name, target_mm=target.name))
+        return analyze(t, source, target)
+
+    library = [
+        step("m2n", m, n, "rule A { from s : M!A to t : N!B() }"),
+        # Sorts before nB2C and would reach the goal, but reads M after m2n has produced N.
+        step("mB2C", m, m, "rule B { from s : M!B to t : M!C() }"),
+        step("nB2C", n, n, "rule B { from s : N!B to t : N!C() }"),
+    ]
+    plan = plan_chain(library, {"A"}, {"C"}, set())
+    assert [s.transformation for s in plan.steps] == ["m2n", "nB2C"]
+    assert plan.final_set == {"C"}
+
+
 def test_plan_lengths_match_exhaustive_enumeration(reports, full):
     rng = random.Random(995511)
     library = list(reports.values())

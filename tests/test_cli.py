@@ -13,8 +13,6 @@ import pytest
 import xformlens
 from xformlens import (
     analyze,
-    corpus_dir,
-    fixture_corpus,
     ignored_table,
     referenced_table,
     render,
@@ -22,6 +20,9 @@ from xformlens import (
     report_to_json,
 )
 from xformlens.cli import main
+from xformlens.fixtures import corpus_dir, fixture_corpus
+
+_HEADER = "module t;\ncreate OUT : M from IN : M;\n"
 
 FIXED_ARGS = [
     "pivot.cmm",
@@ -115,6 +116,13 @@ def test_analyze_out_writes_file(cli, corpus_args, tmp_path):
     assert out.read_text(encoding="utf-8") == _expected_markdown()
 
 
+def test_analyze_out_to_a_directory_fails_cleanly(cli, corpus_args, tmp_path):
+    result = cli(["analyze", "--out", str(tmp_path), *corpus_args])
+    assert result.exit_code == 1
+    assert result.out == ""
+    assert result.err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
 def test_analyze_missing_file_fails_cleanly(cli, tmp_path):
     result = cli(["analyze", str(tmp_path / "nope.cmm"), "x.tfm"])
     assert result.exit_code == 1
@@ -168,6 +176,39 @@ def test_parse_error_on_an_invisible_character_is_one_line(cli, corpus_args, tmp
     result = cli(["lint", str(bad), corpus_args[1]])
     assert result.exit_code == 1
     assert result.err.splitlines() == [f"error: {bad}:1:14: expected 'class', found {shown}"]
+
+
+@pytest.fixture()
+def line_break_path(tmp_path, monkeypatch):
+    """Write `text` to a file named `nl/c<LF>d.tfm` beside `nl/m.cmm`; return its relative name."""
+    (tmp_path / "nl").mkdir()
+    (tmp_path / "nl" / "m.cmm").write_text("metamodel M { class A {} }", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+
+    def write(text):
+        try:
+            (tmp_path / "nl" / "c\nd.tfm").write_text(text, encoding="utf-8")
+        except OSError:
+            pytest.skip("the file system refuses a line break in a file name")
+        return "nl/c\nd.tfm"
+
+    return write
+
+
+def test_a_line_break_in_a_file_name_keeps_the_error_on_one_line(cli, line_break_path):
+    path = line_break_path(_HEADER + "rule r { from s : M!A to t : M!A() } }")
+    result = cli(["lint", "nl/m.cmm", path])
+    assert result.exit_code == 1
+    assert result.err.splitlines() == ["error: nl/cU+000Ad.tfm:3:38: expected end of input, found '}'"]
+
+
+def test_a_line_break_in_a_file_name_keeps_the_finding_on_one_line(cli, line_break_path):
+    path = line_break_path(_HEADER + "rule r { from s : M!A to t : M!Ghost() }")
+    result = cli(["lint", "nl/m.cmm", path])
+    assert result.exit_code == 0
+    assert result.out.splitlines()[0] == (
+        "nl/cU+000Ad.tfm:3:30: unknown_concept: rule 'r' references unknown concept 'M!Ghost'"
+    )
 
 
 @pytest.fixture()
@@ -323,6 +364,19 @@ def test_chain_plan_prints_steps_and_final_set(cli, corpus_args):
     assert "Class" not in lines[3] and "Record" not in lines[3]
 
 
+def test_chain_plan_prints_step_warnings(cli, corpus_args):
+    full = xformlens.concrete_concepts(fixture_corpus()[0])
+    initial = ",".join(c for c in full if c != "Record")
+    result = cli(["chain-plan", *corpus_args, "--initial", initial, "--forbid", "Class,Record"])
+    assert result.exit_code == 0
+    assert result.out.splitlines()[:4] == [
+        "plan: 2 step(s)",
+        "step 1: classInstantiation",
+        "  warning: useless step: 'Record' is introduced here and dropped by step 2 ('recordRemoval')",
+        "step 2: recordRemoval",
+    ]
+
+
 def test_chain_plan_no_plan_exits_three(cli, corpus_args):
     result = cli(["chain-plan", *corpus_args, "--forbid", "Forall"])
     assert result.exit_code == 3
@@ -417,13 +471,33 @@ def _subprocess_env() -> dict[str, str]:
 
 def test_cli_import_loads_no_dataclasses_inspect_or_click():
     # Start-up cost: each of these modules adds milliseconds to every call.
-    # A subprocess, because pytest itself has already imported dataclasses.
-    probe = "import sys, xformlens.cli; print(*sorted({'dataclasses', 'inspect', 'click'} & set(sys.modules)))"
+    # A subprocess, because pytest itself has already imported dataclasses,
+    # and `-S`, because `site` may load pathlib itself. The fixture corpus
+    # loader, which needs pathlib, is not imported by the package.
+    banned = "{'dataclasses', 'inspect', 'click', 'pathlib', 'fnmatch', 'urllib'}"
+    probe = f"import sys, xformlens.cli; print(*sorted({banned} & set(sys.modules)))"
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=_subprocess_env(), timeout=60
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=_subprocess_env(), timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "command",
+    [["analyze"], ["analyze", "--format", "json"], ["lint"], ["chain-check"],
+     ["chain-plan", "--forbid", "Class,Record"], ["analyze", "--out", "/dev/full"]],
+    ids=["analyze", "analyze-json", "lint", "chain-check", "chain-plan", "analyze-out"],
+)
+def test_a_failed_write_is_one_error_line(corpus_args, command):
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "xformlens", *command, *corpus_args],
+            stdout=full, stderr=subprocess.PIPE, env=_subprocess_env(), timeout=60,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: [Errno 28] No space left on device\n"
 
 
 def test_lint_exits_quietly_when_stdout_is_closed(cli, tmp_path):

@@ -4,7 +4,8 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from xformlens import FIXTURE_NAMES, analyze, corpus_dir
+from xformlens import analyze
+from xformlens.fixtures import FIXTURE_NAMES, corpus_dir
 
 from helpers import (
     RULE_COPY_ALWAYS,

@@ -134,7 +134,9 @@ _HEADER = "module t;\ncreate OUT : M from IN : M;\n"
 
 
 # Each way `capture_balanced` fails, in both parsers: end of input, a
-# closing bracket with no opener, and an empty run before the stop.
+# closing bracket with no opener, and an empty run before the stop. Then
+# text after the end, in both parsers, and a metamodel member that is
+# neither a feature nor the closing brace.
 @pytest.mark.parametrize(
     "parse, source, message",
     [
@@ -168,6 +170,13 @@ _HEADER = "module t;\ncreate OUT : M from IN : M;\n"
             "metamodel M { class A { attr x : Int []; } }",
             "p:1:39: expected multiplicity",
         ),
+        (
+            parse_transformation,
+            _HEADER + "rule r { from s : M!A to t : M!A() } }",
+            "p:3:38: expected end of input, found '}'",
+        ),
+        (parse_metamodel, "metamodel M { class A {} } x", "p:1:28: expected end of input, found 'x'"),
+        (parse_metamodel, "metamodel M { class A { x } }", "p:1:25: expected 'attr', 'ref', or '}', found 'x'"),
     ],
 )
 def test_balanced_capture_errors(parse, source, message):

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from xformlens import (
     ParseError,
-    corpus_dir,
     Table,
     analyze,
     concrete_concepts,
@@ -26,6 +25,7 @@ from xformlens import (
     table_from_json,
 )
 from xformlens.cli import COMMANDS, main
+from xformlens.fixtures import corpus_dir
 from xformlens.lexer import TokenStream
 
 from helpers import (

@@ -101,14 +101,17 @@ def test_unknown_format_is_rejected():
 
 
 def test_table_from_json_validates_shape():
-    with pytest.raises(ValueError):
-        table_from_json(json.dumps({"title": "T", "header": ["a"]}))
-    with pytest.raises(ValueError):
-        table_from_json(json.dumps({"title": 3, "header": ["a"], "rows": []}))
-    with pytest.raises(ValueError):
-        table_from_json(
-            json.dumps({"title": "T", "header": ["a"], "rows": [["x", "y"]]})
-        )
+    for data, message in [
+        ({"title": "T", "header": ["a"]}, "table JSON lacks key 'rows'"),
+        ({"title": 3, "header": ["a"], "rows": []}, "table title must be a string"),
+        ({"title": "T", "header": ["a"], "rows": [["x", "y"]]}, "row arity 2 does not match header arity 1"),
+        ([], "table JSON must be an object"),
+        ({"title": "T", "header": [1], "rows": []}, "table header must be a list of strings"),
+        ({"title": "T", "header": ["a"], "rows": ["x"]}, "table rows must be lists of strings"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            table_from_json(json.dumps(data))
+        assert str(exc.value) == message
 
 
 def test_ignored_table_shape(reports):

@@ -18,12 +18,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from xformlens import (
     analyze,
-    fixture_corpus,
     ignored_table,
     referenced_table,
     render,
     report_to_json,
 )
+from xformlens.fixtures import fixture_corpus
 
 
 def golden_texts(reports) -> dict[str, str]:
