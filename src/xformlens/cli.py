@@ -119,13 +119,14 @@ def main(argv: list[str] | None = None) -> None:
     try:
         code = fn(**vars(args))
         sys.stdout.flush()
-    except BrokenPipeError:  # an OSError, so it must come first
-        # The reader has gone. Point stdout at devnull so the flush at exit
-        # cannot fail again (the "Note on SIGPIPE" in the `signal` docs).
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
     except (OSError, ParseError, MetamodelMismatchError) as exc:  # every input and I/O failure ends here
-        _fail(str(exc), 1)
+        if isinstance(exc, OSError) and exc.filename is None:
+            # A failed write stays in stdout's buffer; point stdout at devnull so the
+            # flush at exit cannot fail again (the "Note on SIGPIPE" in the `signal` docs).
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a reader that has gone needs no message
+            _fail(str(exc), 1)
+        code = 1
     if code:
         raise SystemExit(code)
 

@@ -148,8 +148,7 @@ def report_table(report: AnalysisReport) -> Table:
 
 
 def one_line(text: str) -> str:
-    # No line break is printable, and isprintable() is much quicker than translate().
-    return text if text.isprintable() else text.translate(_LINE_BREAKS)
+    return text if text.isprintable() else text.translate(_LINE_BREAKS)  # no line break is printable
 
 
 def lint_text(d: Lint, kind: str | None = None, fallback: str | None = None) -> str:
@@ -160,9 +159,9 @@ def lint_text(d: Lint, kind: str | None = None, fallback: str | None = None) -> 
     """
     where = fallback
     if d.file is not None and d.line is not None:
-        where = f"{d.file}:{d.line}:{d.column}"
+        where = f"{one_line(d.file)}:{d.line}:{d.column}"  # messages name identifiers: no line breaks
     prefix = "" if where is None else f"{where}: "
-    return one_line(f"{prefix}{kind or d.kind}: {d.message}")
+    return f"{prefix}{kind or d.kind}: {d.message}"
 
 
 def _render_markdown(table: Table) -> str:

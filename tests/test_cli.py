@@ -22,7 +22,7 @@ from xformlens import (
 from xformlens.cli import main
 from xformlens.fixtures import corpus_dir, fixture_corpus
 
-_HEADER = "module t;\ncreate OUT : M from IN : M;\n"
+from helpers import wrap_rules
 
 FIXED_ARGS = [
     "pivot.cmm",
@@ -196,18 +196,18 @@ def line_break_path(tmp_path, monkeypatch):
 
 
 def test_a_line_break_in_a_file_name_keeps_the_error_on_one_line(cli, line_break_path):
-    path = line_break_path(_HEADER + "rule r { from s : M!A to t : M!A() } }")
+    path = line_break_path(wrap_rules("rule r { from s : M!A to t : M!A() } }", source_mm="M"))
     result = cli(["lint", "nl/m.cmm", path])
     assert result.exit_code == 1
-    assert result.err.splitlines() == ["error: nl/cU+000Ad.tfm:3:38: expected end of input, found '}'"]
+    assert result.err.splitlines() == ["error: nl/cU+000Ad.tfm:4:38: expected end of input, found '}'"]
 
 
 def test_a_line_break_in_a_file_name_keeps_the_finding_on_one_line(cli, line_break_path):
-    path = line_break_path(_HEADER + "rule r { from s : M!A to t : M!Ghost() }")
+    path = line_break_path(wrap_rules("rule r { from s : M!A to t : M!Ghost() }", source_mm="M"))
     result = cli(["lint", "nl/m.cmm", path])
     assert result.exit_code == 0
     assert result.out.splitlines()[0] == (
-        "nl/cU+000Ad.tfm:3:30: unknown_concept: rule 'r' references unknown concept 'M!Ghost'"
+        "nl/cU+000Ad.tfm:4:30: unknown_concept: rule 'r' references unknown concept 'M!Ghost'"
     )
 
 
@@ -464,9 +464,15 @@ def test_chain_plan_accepts_options_among_the_paths(cli, monkeypatch, argv, code
 
 
 def _subprocess_env() -> dict[str, str]:
-    """The environment with this checkout's `src` first on PYTHONPATH."""
+    """The environment with this checkout's `src` first on PYTHONPATH and a buffered stdout.
+
+    A buffered stdout keeps the bytes it failed to write, and the flush at
+    exit tries them again; PYTHONUNBUFFERED would hide that.
+    """
     src = str(Path(xformlens.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_click():
@@ -490,11 +496,15 @@ def test_cli_import_loads_no_dataclasses_inspect_or_click():
      ["chain-plan", "--forbid", "Class,Record"], ["analyze", "--out", "/dev/full"]],
     ids=["analyze", "analyze-json", "lint", "chain-check", "chain-plan", "analyze-out"],
 )
-def test_a_failed_write_is_one_error_line(corpus_args, command):
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_failed_write_is_one_error_line(corpus_args, command, buffered):
+    env = _subprocess_env()
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "wb") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "xformlens", *command, *corpus_args],
-            stdout=full, stderr=subprocess.PIPE, env=_subprocess_env(), timeout=60,
+            stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
         )
     assert proc.returncode == 1
     assert proc.stderr == b"error: [Errno 28] No space left on device\n"
@@ -520,6 +530,22 @@ def test_lint_exits_quietly_when_stdout_is_closed(cli, tmp_path):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""  # no traceback
+
+
+def test_a_short_output_to_a_closed_stdout_exits_quietly(corpus_args):
+    # The output fits stdout's buffer, so the write first fails at the flush
+    # in `main`, and the bytes it kept must not be written again at exit.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "xformlens", "chain-check", *corpus_args],
+            stdout=write_end, stderr=subprocess.PIPE, env=_subprocess_env(), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 @pytest.mark.parametrize("command", [["lint"], ["analyze"], ["analyze", "--out", "o.md"]])
