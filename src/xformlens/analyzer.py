@@ -27,12 +27,10 @@ class Mode(Enum):
 class RuleClassification(NamedTuple):
     action: str  # "copy" | "mutation"
     mode: Mode
-    source: str
     targets: tuple[str, ...]
 
 
 class ConceptProfile(NamedTuple):
-    concept: str
     copy_modes: frozenset[Mode] = frozenset()
     mutation_modes: frozenset[Mode] = frozenset()
     produced_as: frozenset[str] = frozenset()
@@ -93,7 +91,7 @@ def classify_rule(rule: Rule) -> RuleClassification:
         mode = Mode.CONDITIONALLY
     else:
         mode = Mode.ALWAYS
-    return RuleClassification(action, mode, rule.source_concept.name, targets)
+    return RuleClassification(action, mode, targets)
 
 
 def analyze(
@@ -187,40 +185,29 @@ def analyze(
             mutation_modes.add(cls.mode)
             produced_as.update(cls.targets)
 
-    profiles = {c: ConceptProfile(c) for c in source_concepts}
+    profiles = dict.fromkeys(source_concepts, ConceptProfile())
     for c, (copy_modes, mutation_modes, produced_as) in folded.items():
         profiles[c] = ConceptProfile(
-            c, frozenset(copy_modes), frozenset(mutation_modes), target_concrete.intersection(produced_as)
+            frozenset(copy_modes), frozenset(mutation_modes), target_concrete.intersection(produced_as)
         )
 
     ignored_in = frozenset(c for c in source_concepts if c not in mentioned_source)
     ignored_out = frozenset(c for c in target_concepts if c not in mentioned_target)
 
     diagnostics = sorted(unknown, key=lambda l: (l.line, l.column))
-    for c in source_concepts:
-        if c in mentioned_source and c not in folded:
-            diagnostics.append(
-                Lint(
-                    "never_processed",
-                    c,
-                    f"concept '{c}' is referenced but never copied or mutated",
-                )
-            )
-    for c in source_concepts:
-        if c in ignored_in:
-            diagnostics.append(
-                Lint(
-                    "ignored_in",
-                    c,
-                    f"concept '{c}' appears in no source pattern, guard, "
-                    "binding, or helper body",
-                )
-            )
-    for c in target_concepts:
-        if c in ignored_out:
-            diagnostics.append(
-                Lint("ignored_out", c, f"concept '{c}' appears in no target pattern")
-            )
+    diagnostics += [
+        Lint("never_processed", c, f"concept '{c}' is referenced but never copied or mutated")
+        for c in source_concepts
+        if c in mentioned_source and c not in folded
+    ]
+    diagnostics += [
+        Lint("ignored_in", c, f"concept '{c}' appears in no source pattern, guard, binding, or helper body")
+        for c in source_concepts
+        if c in ignored_in
+    ]
+    diagnostics += [
+        Lint("ignored_out", c, f"concept '{c}' appears in no target pattern") for c in target_concepts if c in ignored_out
+    ]
 
     return AnalysisReport(
         transformation=t.name,
@@ -296,10 +283,3 @@ def detect_fixed_point(report: AnalysisReport) -> FixedPointVerdict:
         f"to focal concepts: {', '.join(focal)}",
         focal,
     )
-
-
-def lint(
-    t: Transformation, source_mm: Metamodel, target_mm: Metamodel
-) -> tuple[Lint, ...]:
-    """Diagnostics only; identical to analyze(...).diagnostics."""
-    return analyze(t, source_mm, target_mm).diagnostics

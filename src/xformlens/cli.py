@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import io
 import os
 import sys
 
@@ -74,6 +75,11 @@ def _paint(kind: str) -> str:
     return kind
 
 
+class _ClosedStdout(io.TextIOBase):  # sys.stdout when fd 1 is closed, where Python leaves None
+    def write(self, text: str) -> int:
+        raise OSError("stdout is closed")
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one `error:` line with exit 1."""
 
@@ -116,14 +122,19 @@ def main(argv: list[str] | None = None) -> None:
     for flag, spec in options:
         parser.add_argument(flag, **spec)
     args = parser.parse_intermixed_args(argv[1:])
+    if sys.stdout is None:  # fd 1 is closed: printing fails like any other write
+        sys.stdout = _ClosedStdout()
     try:
         code = fn(**vars(args))
         sys.stdout.flush()
     except (OSError, ParseError, MetamodelMismatchError) as exc:  # every input and I/O failure ends here
-        if isinstance(exc, OSError) and exc.filename is None:
-            # A failed write stays in stdout's buffer; point stdout at devnull so the
-            # flush at exit cannot fail again (the "Note on SIGPIPE" in the `signal` docs).
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        try:  # a failed write stays in stdout's buffer, so flushing it fails again
+            sys.stdout.flush()
+        except OSError:
+            # Stdout is the stream that failed: point it at devnull so that the flush at
+            # exit cannot fail again (the "Note on SIGPIPE" in the `signal` docs).
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):  # a reader that has gone needs no message
             _fail(str(exc), 1)
         code = 1

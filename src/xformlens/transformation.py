@@ -31,10 +31,6 @@ class Expression(NamedTuple):
     raw: str
     refs: tuple[ConceptRef, ...] = ()
 
-    @property
-    def referenced_concepts(self) -> frozenset[str]:
-        return frozenset(ref.qualified for ref in self.refs)
-
 
 class Binding(NamedTuple):
     feature: str

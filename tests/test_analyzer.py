@@ -4,12 +4,13 @@ from __future__ import annotations
 import pytest
 
 from xformlens import (
+    ConceptProfile,
     MetamodelMismatchError,
     Mode,
+    RuleClassification,
     analyze,
     classify_rule,
     detect_fixed_point,
-    lint,
     parse_metamodel,
     parse_transformation,
 )
@@ -34,8 +35,21 @@ def test_classify_plain_copy():
     c = classify_rule(_rule(RULE_COPY_ALWAYS, "DataType"))
     assert c.action == "copy"
     assert c.mode is Mode.ALWAYS
-    assert c.source == "DataType"
     assert c.targets == ("DataType",)
+
+
+def test_record_fields_state_each_fact_once():
+    # The concept is the key of its profile, and a rule's source is the rule's own.
+    assert ConceptProfile._fields == ("copy_modes", "mutation_modes", "produced_as")
+    assert RuleClassification._fields == ("action", "mode", "targets")
+
+
+def test_untouched_concepts_share_the_empty_profile(pivot):
+    report = analyze(parse_transformation(wrap_rules(RULE_COPY_ALWAYS)), pivot, pivot)
+    assert report.profiles["DataType"] == (frozenset({Mode.ALWAYS}), frozenset(), frozenset())
+    untouched = [p for c, p in report.profiles.items() if c != "DataType"]
+    assert untouched and all(p == ConceptProfile() for p in untouched)
+    assert len({id(p) for p in untouched}) == 1
 
 
 def test_classify_guarded_copy():
@@ -138,7 +152,7 @@ def test_unresolvable_target_gates_the_whole_rule(pivot):
 def test_a_concept_read_only_by_a_gated_rule_is_never_processed(pivot):
     body = "rule Gated {\n\tfrom\n\t\ts : CPPivot!Record\n\tto\n\t\tt : CPPivot!Ghost()\n}"
     report = analyze(parse_transformation(wrap_rules(body)), pivot, pivot)
-    assert report.profiles["Record"] == ("Record", frozenset(), frozenset(), frozenset())
+    assert report.profiles["Record"] == (frozenset(), frozenset(), frozenset())
     findings = [(d.kind, d.subject) for d in report.diagnostics if not d.kind.startswith("ignored")]
     assert findings == [("unknown_concept", "CPPivot!Ghost"), ("never_processed", "Record")]
 
@@ -296,11 +310,6 @@ def test_analyze_rejects_mismatched_metamodels(pivot):
     with pytest.raises(MetamodelMismatchError) as exc:
         analyze(t, pivot, pivot)
     assert str(exc.value) == "transformation 'probe' writes to 'Other' but metamodel 'CPPivot' was supplied"
-
-
-def test_lint_matches_analyze_diagnostics(pivot, transformations):
-    for t in transformations:
-        assert lint(t, pivot, pivot) == analyze(t, pivot, pivot).diagnostics
 
 
 def test_fixed_point_requires_endogenous_shape(pivot):

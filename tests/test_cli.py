@@ -548,6 +548,61 @@ def test_a_short_output_to_a_closed_stdout_exits_quietly(corpus_args):
     assert proc.stderr == b""
 
 
+def _run_with_stdout_closed(args: list[str]) -> subprocess.CompletedProcess:
+    """Run `python -m xformlens ARGS` with fd 1 closed, so that sys.stdout is None."""
+    script = 'exec "$0" -m xformlens "$@" >&-'
+    return subprocess.run(
+        ["sh", "-c", script, sys.executable, *args],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=_subprocess_env(), timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["lint"], ["chain-check"], ["chain-plan", "--forbid", "Class,Record"], ["analyze"], ["analyze", "--format", "json"]],
+    ids=["lint", "chain-check", "chain-plan", "analyze", "analyze-json"],
+)
+def test_printing_to_a_closed_stdout_is_one_error_line(corpus_args, command):
+    proc = _run_with_stdout_closed([*command, *corpus_args])
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: stdout is closed\n"
+
+
+def test_analyze_out_needs_no_stdout(corpus_args, unknown_concept_module, tmp_path):
+    out = tmp_path / "tables.md"
+    proc = _run_with_stdout_closed(["analyze", "--out", str(out), *corpus_args])
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert out.read_text(encoding="utf-8") == _expected_markdown()
+    proc = _run_with_stdout_closed(["analyze", "--strict", "--out", str(out), *unknown_concept_module])
+    assert (proc.returncode, proc.stderr) == (2, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_failed_out_write_in_process_leaves_stdout_alone(cli, corpus_args):
+    # capsys's stdout has no file descriptor, as with contextlib.redirect_stdout.
+    result = cli(["analyze", "--out", "/dev/full", *corpus_args])
+    assert result.exit_code == 1
+    assert result.out == ""
+    assert result.err == "error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(
+    not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")), reason="no /dev/full or /proc/self/fd"
+)
+def test_a_failed_stdout_write_in_process_closes_its_devnull_descriptor(capsys, monkeypatch, corpus_args):
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        monkeypatch.setattr(sys, "stdout", full)
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", *corpus_args])
+        assert len(os.listdir("/proc/self/fd")) == before
+        monkeypatch.undo()
+        # stdout now points at devnull, so the bytes its failed write kept can be flushed.
+        full.flush()
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+
 @pytest.mark.parametrize("command", [["lint"], ["analyze"], ["analyze", "--out", "o.md"]])
 def test_an_undecodable_file_name_is_printed_as_its_bytes(tmp_path, command):
     (tmp_path / "mini.cmm").write_text("metamodel M { class A {} }\n", encoding="utf-8")

@@ -49,7 +49,7 @@ def test_guarded_rule_captures_guard_text_and_refs():
     rule = t.rule("SetDomain")
     assert rule.guard is not None
     assert rule.guard.raw == "not s.parent.oclIsTypeOf(CPPivot!IndexVariable)"
-    assert rule.guard.referenced_concepts == frozenset({"CPPivot!IndexVariable"})
+    assert {r.qualified for r in rule.guard.refs} == {"CPPivot!IndexVariable"}
 
 
 def test_lazy_rule_with_parent():
@@ -94,7 +94,7 @@ def test_helper_fields_are_parsed():
     assert h.context.qualified == "CPPivot!Variable"
     assert h.result_type.raw == "Boolean"
     assert h.body.raw == "self.type.oclIsTypeOf(CPPivot!Class)"
-    assert h.body.referenced_concepts == frozenset({"CPPivot!Class"})
+    assert {r.qualified for r in h.body.refs} == {"CPPivot!Class"}
 
 
 def test_context_free_helper():
@@ -162,9 +162,7 @@ def test_expression_refs_require_qualifier_shape():
         "}"
     )
     guard = parse_transformation(wrap_rules(body)).rule("Probe").guard
-    assert guard.referenced_concepts == frozenset(
-        {"CPPivot!Class", "Other!Ghost"}
-    )
+    assert {r.qualified for r in guard.refs} == {"CPPivot!Class", "Other!Ghost"}
 
 
 def test_rule_lookup_raises_on_unknown():
