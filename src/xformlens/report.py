@@ -6,8 +6,6 @@ always ordered by metamodel declaration order.
 """
 from __future__ import annotations
 
-import html
-import json
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -176,6 +174,8 @@ def _render_markdown(table: Table) -> str:
 
 
 def _render_html(table: Table) -> str:
+    import html  # here, like json below, to keep it off the CLI's start-up path
+
     def row(cells: tuple[str, ...], tag: str) -> str:
         return "<tr>" + "".join(f"<{tag}>{html.escape(c)}</{tag}>" for c in cells) + "</tr>"
 
@@ -230,6 +230,7 @@ def _render_latex(table: Table) -> str:
 
 
 def _render_json(table: Table) -> str:
+    import json
     return json.dumps(table._asdict(), indent=2) + "\n"  # tuples encode as arrays
 
 
@@ -247,7 +248,8 @@ def render(table: Table, fmt: str) -> str:
 def render_reports(reports: Sequence[AnalysisReport], fmt: str) -> str:
     """The `analyze` output: a JSON array, or the ignored and referenced tables then one table per report."""
     if fmt == "json":
-        return json.dumps([report_to_json(r) for r in reports], indent=2) + "\n"
+        # No string in ensure_ascii JSON holds a raw newline: indenting every line nests a report.
+        return _json_block("[]", [report_to_json(r).replace("\n", "\n  ") for r in reports], "") + "\n"
     parts = [render(ignored_table(reports), fmt), render(referenced_table(reports), fmt)]
     parts.extend(render(report_table(r), fmt) for r in reports)
     return "\n".join(parts)
@@ -255,6 +257,7 @@ def render_reports(reports: Sequence[AnalysisReport], fmt: str) -> str:
 
 def table_from_json(text: str) -> Table:
     """Inverse of render(..., "json"); raises ValueError on bad input."""
+    import json
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("table JSON must be an object")
@@ -273,41 +276,53 @@ def table_from_json(text: str) -> Table:
     return Table(title, tuple(header), tuple(tuple(r) for r in rows))
 
 
-def report_to_json(report: AnalysisReport) -> dict:
-    """Serialize a report to the documented JSON shape (plain dict)."""
+def _json_block(brackets: str, items: list[str], indent: str) -> str:
+    """An array or object of encoded items, laid out as json.dumps(..., indent=2) does at `indent`."""
+    if not items:
+        return brackets
+    inner = indent + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
-    def modes(values: frozenset[Mode]) -> list[str]:
-        return [m.value for m in _MODE_ORDER if m in values]
+
+def report_to_json(report: AnalysisReport) -> str:
+    """The report's JSON text in the documented shape, byte for byte as
+    json.dumps(..., indent=2) lays it out; json.loads gives the dict."""
+    from json.encoder import encode_basestring_ascii as q  # json.dumps's escaper under ensure_ascii
+
+    def strings(names: list[str], indent: str) -> str:
+        return _json_block("[]", [q(n) for n in names], indent)
+
+    def modes(values: frozenset[Mode]) -> str:
+        return strings([m.value for m in _MODE_ORDER if m in values], "      ")
 
     src = declaration_order(report.source_concepts)
     tgt = declaration_order(report.target_concepts)
-    diagnostics = []
-    for d in report.diagnostics:
-        entry: dict = {"kind": d.kind, "subject": d.subject, "message": d.message}
-        if d.file is not None:
-            entry["file"] = d.file
-        if d.line is not None:
-            entry["line"] = d.line
-        if d.column is not None:
-            entry["column"] = d.column
-        diagnostics.append(entry)
-    return {
-        "transformation": report.transformation,
-        "source_mm": report.source_mm,
-        "target_mm": report.target_mm,
-        "ignored_in": src(report.ignored_in),
-        "ignored_out": tgt(report.ignored_out),
-        "refined_domain": src(report.refined_domain),
-        "refined_codomain": tgt(report.refined_codomain),
-        "fixed_point_candidate": report.fixed_point_candidate,
-        "profiles": [
-            {
-                "concept": c,
-                "copy_modes": modes(p.copy_modes),
-                "mutation_modes": modes(p.mutation_modes),
-                "produced_as": tgt(p.produced_as),
-            }
-            for c, p in report.profiles.items()
-        ],
-        "diagnostics": diagnostics,
+    # A profile entry's fields after its concept, written once per distinct
+    # profile and joined with the entry's own separator, so they are one item.
+    tails = {
+        p: f'"copy_modes": {modes(p.copy_modes)},\n      "mutation_modes": {modes(p.mutation_modes)},\n'
+        f'      "produced_as": {strings(tgt(p.produced_as), "      ")}'
+        for p in set(report.profiles.values())
     }
+    profiles = [_json_block("{}", [f'"concept": {q(c)}', tails[p]], "    ") for c, p in report.profiles.items()]
+    # A diagnostic's fields in Lint's order; a position field only when known.
+    diagnostics = [
+        [f'"{k}": {q(v) if isinstance(v, str) else v}' for k, v in zip(d._fields, d) if v is not None]
+        for d in report.diagnostics
+    ]
+    return _json_block(
+        "{}",
+        [
+            f'"transformation": {q(report.transformation)}',
+            f'"source_mm": {q(report.source_mm)}',
+            f'"target_mm": {q(report.target_mm)}',
+            f'"ignored_in": {strings(src(report.ignored_in), "  ")}',
+            f'"ignored_out": {strings(tgt(report.ignored_out), "  ")}',
+            f'"refined_domain": {strings(src(report.refined_domain), "  ")}',
+            f'"refined_codomain": {strings(tgt(report.refined_codomain), "  ")}',
+            f'"fixed_point_candidate": {"true" if report.fixed_point_candidate else "false"}',
+            f'"profiles": {_json_block("[]", profiles, "  ")}',
+            f'"diagnostics": {_json_block("[]", [_json_block("{}", d, "    ") for d in diagnostics], "  ")}',
+        ],
+        "",
+    )

@@ -220,3 +220,45 @@ def enumerate_best_plan_length(reports, initial, required, forbidden, max_len):
             if feasible and goal(s):
                 return length
     return None
+
+
+def reference_report_dict(report):
+    """The documented JSON shape of a report as plain data, built the
+    straightforward way: `report_to_json(report)` must equal
+    `json.dumps(reference_report_dict(report), indent=2)`.
+    """
+
+    def ordered(universe, names):
+        return [c for c in universe if c in names]
+
+    def modes(values):
+        return [m for m in ("always", "conditionally", "lazily") if any(v.value == m for v in values)]
+
+    src, tgt = report.source_concepts, report.target_concepts
+    diagnostics = []
+    for d in report.diagnostics:
+        entry = {"kind": d.kind, "subject": d.subject, "message": d.message}
+        for key in ("file", "line", "column"):
+            if getattr(d, key) is not None:
+                entry[key] = getattr(d, key)
+        diagnostics.append(entry)
+    return {
+        "transformation": report.transformation,
+        "source_mm": report.source_mm,
+        "target_mm": report.target_mm,
+        "ignored_in": ordered(src, report.ignored_in),
+        "ignored_out": ordered(tgt, report.ignored_out),
+        "refined_domain": ordered(src, report.refined_domain),
+        "refined_codomain": ordered(tgt, report.refined_codomain),
+        "fixed_point_candidate": report.fixed_point_candidate,
+        "profiles": [
+            {
+                "concept": c,
+                "copy_modes": modes(p.copy_modes),
+                "mutation_modes": modes(p.mutation_modes),
+                "produced_as": ordered(tgt, p.produced_as),
+            }
+            for c, p in report.profiles.items()
+        ],
+        "diagnostics": diagnostics,
+    }

@@ -358,6 +358,43 @@ def test_fixed_point_explanations(reports):
     )
 
 
+@pytest.mark.parametrize("mutation", ["rule", "lazy rule"], ids=["always", "lazily"])
+def test_fixed_point_needs_a_conditional_mutation(pivot, mutation):
+    # BoolVal is conditionally copied but mutated only always or lazily, so
+    # no concept is focal, although the domain equals the codomain and no
+    # other concept is mutated.
+    body = (
+        "rule BoolVal {\n"
+        "\tfrom\n"
+        "\t\ts : CPPivot!BoolVal (\n"
+        "\t\t\ts.value\n"
+        "\t\t)\n"
+        "\tto\n"
+        "\t\tt : CPPivot!BoolVal()\n"
+        "}\n\n"
+        f"{mutation} Flip {{\n"
+        "\tfrom\n"
+        "\t\ts : CPPivot!BoolVal\n"
+        "\tto\n"
+        "\t\tt : CPPivot!IntVal()\n"
+        "}\n\n"
+        "rule IntVal {\n"
+        "\tfrom\n"
+        "\t\ts : CPPivot!IntVal\n"
+        "\tto\n"
+        "\t\tt : CPPivot!IntVal()\n"
+        "}"
+    )
+    report = analyze(parse_transformation(wrap_rules(body)), pivot, pivot)
+    assert report.profiles["BoolVal"].copy_modes == {Mode.CONDITIONALLY}
+    assert report.profiles["BoolVal"].mutation_modes == {Mode.ALWAYS if mutation == "rule" else Mode.LAZILY}
+    assert report.refined_domain == report.refined_codomain
+    verdict = detect_fixed_point(report)
+    assert not verdict
+    assert verdict.explanation == "no concept is both conditionally or lazily copied and conditionally mutated"
+    assert report.fixed_point_candidate is False
+
+
 def test_stray_mutation_blocks_fixed_point(pivot):
     body = (
         "rule BoolVal {\n"

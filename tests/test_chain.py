@@ -87,6 +87,20 @@ def test_useless_step_warning_names_the_dropping_step(reports, full):
     assert plan.steps[1].warnings == ()
 
 
+def test_useless_step_warning_names_only_the_first_dropping_step(reports, full):
+    plan = check_chain(
+        full - {"Record"},
+        [reports["classInstantiation"], reports["recordRemoval"], reports["uselessIfRemoval"]],
+    )
+    assert "Record" in plan.steps[0].output_set
+    assert "Record" not in plan.steps[1].output_set
+    assert "Record" not in plan.steps[2].output_set
+    assert plan.steps[0].warnings == (
+        "useless step: 'Record' is introduced here and dropped "
+        "by step 2 ('recordRemoval')",
+    )
+
+
 def test_surviving_introductions_do_not_warn(reports, full):
     plan = check_chain(full - {"Record"}, [reports["classInstantiation"]])
     assert plan.steps[0].warnings == ()

@@ -95,7 +95,7 @@ def test_analyze_json_is_an_array_of_reports(cli, corpus_args):
         "uselessIfRemoval",
     ]
     mm, transformations = fixture_corpus()
-    expected = [report_to_json(analyze(t, mm, mm)) for t in transformations]
+    expected = [json.loads(report_to_json(analyze(t, mm, mm))) for t in transformations]
     assert data == expected
     assert result.out == json.dumps(expected, indent=2) + "\n"
 
@@ -479,8 +479,9 @@ def test_cli_import_loads_no_dataclasses_inspect_or_click():
     # Start-up cost: each of these modules adds milliseconds to every call.
     # A subprocess, because pytest itself has already imported dataclasses,
     # and `-S`, because `site` may load pathlib itself. The fixture corpus
-    # loader, which needs pathlib, is not imported by the package.
-    banned = "{'dataclasses', 'inspect', 'click', 'pathlib', 'fnmatch', 'urllib'}"
+    # loader, which needs pathlib, is not imported by the package, and the
+    # renderers import json and html only when they run.
+    banned = "{'dataclasses', 'inspect', 'click', 'pathlib', 'fnmatch', 'urllib', 'json', 'html'}"
     probe = f"import sys, xformlens.cli; print(*sorted({banned} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=_subprocess_env(), timeout=60

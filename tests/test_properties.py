@@ -8,9 +8,13 @@ import os
 import random
 import tempfile
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from xformlens import (
+    AnalysisReport,
+    ConceptProfile,
+    Lint,
+    Mode,
     ParseError,
     Table,
     analyze,
@@ -27,12 +31,14 @@ from xformlens import (
 from xformlens.cli import COMMANDS, main
 from xformlens.fixtures import corpus_dir
 from xformlens.lexer import TokenStream
+from xformlens.report import render_reports
 
 from helpers import (
     naive_profiles,
     naive_propagate,
     random_metamodel_text,
     random_transformation_text,
+    reference_report_dict,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -158,13 +164,73 @@ def test_unknown_diagnostics_are_position_sorted(seed):
 def test_report_json_round_trips_and_orders_modes(seed):
     _, mm, t = _case(seed)
     report = analyze(t, mm, mm)
-    data = report_to_json(report)
+    data = json.loads(report_to_json(report))
     assert json.loads(json.dumps(data)) == data
     order = {"always": 0, "conditionally": 1, "lazily": 2}
     for profile in data["profiles"]:
         for key in ("copy_modes", "mutation_modes"):
             modes = profile[key]
             assert modes == sorted(modes, key=order.__getitem__)
+
+
+# Text the JSON writer must escape as json.dumps does: quotes, backslashes,
+# control characters, non-ASCII and astral characters, and lone surrogates
+# from U+DC80-U+DCFF, which stand for a file name's undecodable bytes.
+json_text = st.text(alphabet=list('aZ_ 1"\\/\x00\x1f\x7f\n\t\u00e9\u4e2d\u2028\ufeff\U0001f600\udc80\udcfe\udcff'), max_size=6)
+
+
+@st.composite
+def analysis_reports(draw):
+    """Any AnalysisReport the JSON writer may meet, consistent or not."""
+    source = draw(st.lists(json_text, unique=True, max_size=6))
+    target = draw(st.lists(json_text, unique=True, max_size=6))
+
+    def subset(universe):
+        return frozenset(draw(st.lists(st.sampled_from(universe), max_size=len(universe))) if universe else ())
+
+    def modes():
+        return frozenset(draw(st.sets(st.sampled_from(Mode))))
+
+    pool = [ConceptProfile()] + [
+        ConceptProfile(modes(), modes(), subset(target)) for _ in range(draw(st.integers(0, 3)))
+    ]
+    profiles = {}
+    for c in source:
+        p = draw(st.sampled_from(pool))
+        # The same object, or an equal profile that is a distinct object.
+        profiles[c] = ConceptProfile(*p) if draw(st.booleans()) else p
+    optional_int = st.none() | st.integers(min_value=0, max_value=10**6)
+    diagnostics = draw(st.lists(
+        st.builds(Lint, json_text, json_text, json_text, st.none() | json_text, optional_int, optional_int),
+        max_size=4,
+    ))
+    name = draw(json_text)
+    return AnalysisReport(
+        draw(json_text),
+        name,
+        draw(st.just(name) | json_text),  # endogenous or not
+        profiles,
+        tuple(target),
+        subset(source),
+        subset(target),
+        subset(source),
+        subset(target),
+        tuple(diagnostics),
+    )
+
+
+@given(analysis_reports())
+@settings(deadline=None)
+def test_report_to_json_writes_what_json_dumps_writes(report):
+    assert report_to_json(report) == json.dumps(reference_report_dict(report), indent=2)
+
+
+@given(st.lists(analysis_reports(), max_size=3))
+@example([])
+@settings(deadline=None, max_examples=50)
+def test_analyze_json_writes_what_json_dumps_writes(reports):
+    expected = json.dumps([reference_report_dict(r) for r in reports], indent=2) + "\n"
+    assert render_reports(reports, "json") == expected
 
 
 cell = st.text(

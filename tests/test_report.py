@@ -18,7 +18,8 @@ from xformlens import (
     report_to_json,
     table_from_json,
 )
-from xformlens.report import FORMATS, mode_set_label
+import xformlens.report as report_module
+from xformlens.report import FORMATS, mode_set_label, render_reports
 
 from helpers import wrap_rules
 
@@ -239,7 +240,7 @@ def test_report_table_positions_diagnostics_with_locations(pivot):
 
 
 def test_report_to_json_schema_order(reports):
-    blob = json.dumps(report_to_json(reports["forallRemoval"]))
+    blob = report_to_json(reports["forallRemoval"])
     data = json.loads(blob)
     assert list(data) == [
         "transformation",
@@ -262,8 +263,24 @@ def test_report_to_json_schema_order(reports):
     assert forall["produced_as"] == ["If", "BoolVal"]
 
 
+def test_analyze_json_calls_report_to_json_once_per_report(reports, monkeypatch):
+    # The benchmark's tracer times the JSON encoding by wrapping this module
+    # global; a writer inlined into render_reports would hide it.
+    corpus = list(reports.values())
+    expected = render_reports(corpus, "json")
+    calls = []
+
+    def counting(report):
+        calls.append(report)
+        return report_to_json(report)
+
+    monkeypatch.setattr(report_module, "report_to_json", counting)
+    assert render_reports(corpus, "json") == expected
+    assert calls == corpus
+
+
 def test_report_to_json_omits_absent_positions(reports):
-    data = report_to_json(reports["recordRemoval"])
+    data = json.loads(report_to_json(reports["recordRemoval"]))
     for diag in data["diagnostics"]:
         assert list(diag) == ["kind", "subject", "message"]
 
@@ -280,6 +297,6 @@ def test_report_to_json_keeps_positions_when_present(pivot):
     report = analyze(
         parse_transformation(wrap_rules(body), path="probe.tfm"), pivot, pivot
     )
-    diag = report_to_json(report)["diagnostics"][0]
+    diag = json.loads(report_to_json(report))["diagnostics"][0]
     assert list(diag) == ["kind", "subject", "message", "file", "line", "column"]
     assert diag["file"] == "probe.tfm"
