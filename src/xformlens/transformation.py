@@ -68,15 +68,6 @@ class Transformation(NamedTuple):
     rules: tuple[Rule, ...] = ()
     source_path: str | None = None
 
-    def __eq__(self, other):  # source_path says where the text came from, not what it is
-        return self[:-1] == other[:-1] if isinstance(other, Transformation) else NotImplemented
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:-1])
-
     def rule(self, name: str) -> Rule:
         for r in self.rules:
             if r.name == name:

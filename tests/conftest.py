@@ -4,7 +4,8 @@ from __future__ import annotations
 import pytest
 
 from xformlens import analyze
-from xformlens.fixtures import fixture_corpus
+
+from helpers import fixture_corpus
 
 CRITERIA = {
     1: "corpus ignored-concepts table matches its golden render",

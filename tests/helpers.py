@@ -1,4 +1,4 @@
-"""Test utilities: reference rule snippets, harnesses, and naive oracles.
+"""Test utilities: the fixture corpus, reference rule snippets, harnesses, and naive oracles.
 
 The oracles in this module are deliberately independent re-derivations
 of the library behavior, so the tests compare two implementations
@@ -8,6 +8,32 @@ from __future__ import annotations
 
 import random
 from itertools import product
+from pathlib import Path
+
+from xformlens import parse_metamodel, parse_transformation
+
+# The constraint-programming pivot metamodel excerpt, five endogenous
+# transformations over it, and the golden outputs rendered from them.
+CORPUS = Path(__file__).resolve().parents[1] / "fixtures"
+
+FIXTURE_NAMES = (
+    "classInstantiation",
+    "enumRemoval",
+    "forallRemoval",
+    "recordRemoval",
+    "uselessIfRemoval",
+)
+
+
+def fixture_corpus():
+    """Parse and return the pivot metamodel and the five transformations."""
+    pivot = CORPUS / "pivot.cmm"
+    mm = parse_metamodel(pivot.read_text(encoding="utf-8"), path=str(pivot))
+    transformations = []
+    for name in FIXTURE_NAMES:
+        path = CORPUS / f"{name}.tfm"
+        transformations.append(parse_transformation(path.read_text(encoding="utf-8"), path=str(path)))
+    return mm, tuple(transformations)
 
 RULE_COPY_ALWAYS = """rule DataType {
 	from

@@ -29,7 +29,6 @@ from xformlens import (
     report_table,
     table_from_json,
 )
-from xformlens.fixtures import fixture_corpus
 from xformlens.report import mode_set_label
 
 from helpers import (
@@ -39,6 +38,7 @@ from helpers import (
     RULE_COPY_LAZY,
     RULE_MUTATION_GUARDED,
     enumerate_best_plan_length,
+    fixture_corpus,
     naive_propagate,
     random_metamodel_text,
     random_transformation_text,

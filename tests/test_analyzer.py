@@ -150,9 +150,14 @@ def test_unresolvable_target_gates_the_whole_rule(pivot):
 
 
 def test_a_concept_read_only_by_a_gated_rule_is_never_processed(pivot):
-    body = "rule Gated {\n\tfrom\n\t\ts : CPPivot!Record\n\tto\n\t\tt : CPPivot!Ghost()\n}"
+    # BoolVal is mutated and never copied: processed, so no finding.
+    body = (
+        "rule Gated {\n\tfrom\n\t\ts : CPPivot!Record\n\tto\n\t\tt : CPPivot!Ghost()\n}\n\n"
+        "rule Flip {\n\tfrom\n\t\ts : CPPivot!BoolVal\n\tto\n\t\tt : CPPivot!IntVal()\n}"
+    )
     report = analyze(parse_transformation(wrap_rules(body)), pivot, pivot)
     assert report.profiles["Record"] == (frozenset(), frozenset(), frozenset())
+    assert report.profiles["BoolVal"] == (frozenset(), frozenset({Mode.ALWAYS}), frozenset({"IntVal"}))
     findings = [(d.kind, d.subject) for d in report.diagnostics if not d.kind.startswith("ignored")]
     assert findings == [("unknown_concept", "CPPivot!Ghost"), ("never_processed", "Record")]
 
@@ -395,13 +400,11 @@ def test_fixed_point_needs_a_conditional_mutation(pivot, mutation):
     assert report.fixed_point_candidate is False
 
 
-def test_stray_mutation_blocks_fixed_point(pivot):
+def test_a_lazily_copied_concept_can_be_focal(pivot):
     body = (
-        "rule BoolVal {\n"
+        "lazy rule BoolVal {\n"
         "\tfrom\n"
-        "\t\ts : CPPivot!BoolVal (\n"
-        "\t\t\ts.value\n"
-        "\t\t)\n"
+        "\t\ts : CPPivot!BoolVal\n"
         "\tto\n"
         "\t\tt : CPPivot!BoolVal()\n"
         "}\n\n"
@@ -413,22 +416,64 @@ def test_stray_mutation_blocks_fixed_point(pivot):
         "\tto\n"
         "\t\tt : CPPivot!IntVal()\n"
         "}\n\n"
-        "rule Stray {\n"
+        "rule IntVal {\n"
         "\tfrom\n"
         "\t\ts : CPPivot!IntVal\n"
         "\tto\n"
-        "\t\tt : CPPivot!BoolVal()\n"
+        "\t\tt : CPPivot!IntVal()\n"
         "}"
     )
     report = analyze(parse_transformation(wrap_rules(body)), pivot, pivot)
+    assert report.profiles["BoolVal"].copy_modes == {Mode.LAZILY}
     verdict = detect_fixed_point(report)
-    assert not verdict
-    assert "concepts outside the focal set" in verdict.explanation
-    assert "IntVal" in verdict.explanation
+    assert verdict
+    assert verdict.focal == ("BoolVal",)
+    assert report.fixed_point_candidate is True
+
+
+def test_stray_mutation_blocks_fixed_point(pivot):
+    # IntVal is mutated outside the focal set, always or only conditionally:
+    # either way a mutation.
+    for stray_guard, modes in (("", {Mode.ALWAYS}), (" (\n\t\t\ts.value > 0\n\t\t)", {Mode.CONDITIONALLY})):
+        body = (
+            "rule BoolVal {\n"
+            "\tfrom\n"
+            "\t\ts : CPPivot!BoolVal (\n"
+            "\t\t\ts.value\n"
+            "\t\t)\n"
+            "\tto\n"
+            "\t\tt : CPPivot!BoolVal()\n"
+            "}\n\n"
+            "rule Flip {\n"
+            "\tfrom\n"
+            "\t\ts : CPPivot!BoolVal (\n"
+            "\t\t\tnot s.value\n"
+            "\t\t)\n"
+            "\tto\n"
+            "\t\tt : CPPivot!IntVal()\n"
+            "}\n\n"
+            "rule Stray {\n"
+            "\tfrom\n"
+            f"\t\ts : CPPivot!IntVal{stray_guard}\n"
+            "\tto\n"
+            "\t\tt : CPPivot!BoolVal()\n"
+            "}"
+        )
+        report = analyze(parse_transformation(wrap_rules(body)), pivot, pivot)
+        assert report.profiles["IntVal"].mutation_modes == modes
+        assert report.refined_domain == report.refined_codomain
+        verdict = detect_fixed_point(report)
+        assert not verdict
+        assert verdict.explanation == "concepts outside the focal set (BoolVal) are mutated: IntVal"
+        assert verdict.focal == ("BoolVal",)
 
 
 def test_profile_fold_matches_reference_oracle(pivot, transformations):
-    for t in transformations:
+    # Beyond the corpus: a mutation rule whose abstract target stays out of produced_as.
+    abstract_target = parse_transformation(
+        wrap_rules("rule Widen {\n\tfrom\n\t\ts : CPPivot!BoolVal\n\tto\n\t\tt : CPPivot!Expression()\n}")
+    )
+    for t in (*transformations, abstract_target):
         report = analyze(t, pivot, pivot)
         expected = naive_profiles(t, pivot, pivot)
         for concept, (copy_modes, mutation_modes, produced) in expected.items():

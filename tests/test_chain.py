@@ -162,6 +162,13 @@ def test_plan_two_steps_orders_prerequisite_first(reports, full):
     assert plan.final_set == full - {"Class", "Record"}
 
 
+def test_plan_tie_break_does_not_depend_on_library_order(reports, full):
+    # Both orders of the two steps are shortest plans; the names decide.
+    library = list(reports.values())[::-1]
+    plan = plan_chain(library, full, frozenset(), frozenset({"Class", "EnumLiteral"}))
+    assert [s.transformation for s in plan.steps] == ["classInstantiation", "enumRemoval"]
+
+
 def test_plan_requirements_constrain_the_goal(reports, full):
     plan = plan_chain(
         list(reports.values()),

@@ -20,9 +20,8 @@ from xformlens import (
     report_to_json,
 )
 from xformlens.cli import main
-from xformlens.fixtures import corpus_dir, fixture_corpus
 
-from helpers import wrap_rules
+from helpers import CORPUS, fixture_corpus, wrap_rules
 
 FIXED_ARGS = [
     "pivot.cmm",
@@ -36,8 +35,7 @@ FIXED_ARGS = [
 
 @pytest.fixture(scope="module")
 def corpus_args():
-    base = corpus_dir()
-    return [str(base / name) for name in FIXED_ARGS]
+    return [str(CORPUS / name) for name in FIXED_ARGS]
 
 
 class Result(NamedTuple):
@@ -245,7 +243,7 @@ def test_analyze_strict_passes_on_clean_corpus(cli, corpus_args):
 
 
 def test_lint_reports_informational_findings(cli, corpus_args):
-    result = cli(["lint", corpus_args[0], str(corpus_dir() / "recordRemoval.tfm")])
+    result = cli(["lint", corpus_args[0], str(CORPUS / "recordRemoval.tfm")])
     assert result.exit_code == 0
     assert result.out.splitlines() == [
         "recordRemoval: never_processed: concept 'Record' is referenced "
@@ -258,7 +256,7 @@ def test_lint_reports_informational_findings(cli, corpus_args):
 
 
 def test_lint_prints_no_findings_for_clean_input(cli, corpus_args):
-    result = cli(["lint", corpus_args[0], str(corpus_dir() / "uselessIfRemoval.tfm")])
+    result = cli(["lint", corpus_args[0], str(CORPUS / "uselessIfRemoval.tfm")])
     assert result.exit_code == 0
     assert result.out == "no findings\n"
 
@@ -292,7 +290,7 @@ def test_lint_colors_kinds_when_enabled(cli, unknown_concept_module, monkeypatch
 
 
 def test_chain_check_reports_invalid_step(cli, corpus_args):
-    result = cli(["chain-check", corpus_args[0], str(corpus_dir() / "recordRemoval.tfm")])
+    result = cli(["chain-check", corpus_args[0], str(CORPUS / "recordRemoval.tfm")])
     assert result.exit_code == 0
     lines = result.out.splitlines()
     assert lines[0].startswith("initial: EnumLiteral, Predicate, ")
@@ -314,8 +312,8 @@ def test_chain_check_valid_chain_with_warning(cli, corpus_args):
         [
             "chain-check",
             corpus_args[0],
-            str(corpus_dir() / "classInstantiation.tfm"),
-            str(corpus_dir() / "recordRemoval.tfm"),
+            str(CORPUS / "classInstantiation.tfm"),
+            str(CORPUS / "recordRemoval.tfm"),
             "--initial",
             initial,
         ],
@@ -397,11 +395,10 @@ def test_chain_plan_rejects_negative_max_len(cli, corpus_args):
 
 
 def test_chain_plan_rejects_duplicate_transformation_names(cli, corpus_args, tmp_path):
-    base = corpus_dir()
     clash = tmp_path / "enumRemovalCopy.tfm"
-    text = (base / "enumRemoval.tfm").read_text(encoding="utf-8")
+    text = (CORPUS / "enumRemoval.tfm").read_text(encoding="utf-8")
     clash.write_text(text.replace("module enumRemoval;", "module recordRemoval;"), encoding="utf-8")
-    real = str(base / "recordRemoval.tfm")
+    real = str(CORPUS / "recordRemoval.tfm")
     result = cli(["chain-plan", corpus_args[0], real, str(clash), "--forbid", "Record,EnumLiteral"])
     assert result.exit_code == 1
     assert result.out == ""
@@ -457,7 +454,7 @@ def test_usage_errors_exit_one_with_one_error_line(cli, argv):
     ids=["between-paths", "before-paths", "plan-uses-files-on-both-sides"],
 )
 def test_chain_plan_accepts_options_among_the_paths(cli, monkeypatch, argv, code, lines):
-    monkeypatch.chdir(corpus_dir())
+    monkeypatch.chdir(CORPUS)
     result = cli(["chain-plan", *argv])
     assert result.exit_code == code
     assert result.out.splitlines()[: len(lines)] == lines
@@ -478,9 +475,9 @@ def _subprocess_env() -> dict[str, str]:
 def test_cli_import_loads_no_dataclasses_inspect_or_click():
     # Start-up cost: each of these modules adds milliseconds to every call.
     # A subprocess, because pytest itself has already imported dataclasses,
-    # and `-S`, because `site` may load pathlib itself. The fixture corpus
-    # loader, which needs pathlib, is not imported by the package, and the
-    # renderers import json and html only when they run.
+    # and `-S`, because `site` may load pathlib itself. The package reads
+    # files with `open`, not pathlib, and the renderers import json and html
+    # only when they run.
     banned = "{'dataclasses', 'inspect', 'click', 'pathlib', 'fnmatch', 'urllib', 'json', 'html'}"
     probe = f"import sys, xformlens.cli; print(*sorted({banned} & set(sys.modules)))"
     proc = subprocess.run(

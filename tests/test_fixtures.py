@@ -5,9 +5,10 @@ import sys
 from pathlib import Path
 
 from xformlens import analyze
-from xformlens.fixtures import FIXTURE_NAMES, corpus_dir
 
 from helpers import (
+    CORPUS,
+    FIXTURE_NAMES,
     RULE_COPY_ALWAYS,
     RULE_COPY_GUARDED,
     RULE_COPY_LAZY,
@@ -30,10 +31,9 @@ def test_fixture_names_are_stable():
 
 
 def test_corpus_dir_contains_all_sources():
-    base = corpus_dir()
-    assert (base / "pivot.cmm").is_file()
+    assert (CORPUS / "pivot.cmm").is_file()
     for name in FIXTURE_NAMES:
-        assert (base / f"{name}.tfm").is_file()
+        assert (CORPUS / f"{name}.tfm").is_file()
 
 
 def test_corpus_loads_in_declared_order(corpus):
@@ -50,10 +50,9 @@ def test_corpus_has_no_unknown_concept_findings(reports):
 
 
 def test_reference_snippets_ship_inside_the_corpus():
-    base = corpus_dir()
-    ci = (base / "classInstantiation.tfm").read_text(encoding="utf-8")
-    er = (base / "enumRemoval.tfm").read_text(encoding="utf-8")
-    fr = (base / "forallRemoval.tfm").read_text(encoding="utf-8")
+    ci = (CORPUS / "classInstantiation.tfm").read_text(encoding="utf-8")
+    er = (CORPUS / "enumRemoval.tfm").read_text(encoding="utf-8")
+    fr = (CORPUS / "forallRemoval.tfm").read_text(encoding="utf-8")
     assert RULE_COPY_ALWAYS in ci
     assert RULE_COPY_GUARDED in fr
     assert RULE_COPY_LAZY in fr
@@ -63,9 +62,9 @@ def test_reference_snippets_ship_inside_the_corpus():
 def test_goldens_match_the_regeneration_tool(reports):
     texts = golden_texts(list(reports.values()))
     for name, text in texts.items():
-        assert (corpus_dir() / name).read_bytes() == text.encode("utf-8"), name
+        assert (CORPUS / name).read_bytes() == text.encode("utf-8"), name
     # perfbench/workloads.py takes corpus-cli's transformations from this directory.
-    held = {f"reports/{p.name}" for p in (corpus_dir() / "reports").iterdir()}
+    held = {f"reports/{p.name}" for p in (CORPUS / "reports").iterdir()}
     assert held == {name for name in texts if name.startswith("reports/")}
 
 

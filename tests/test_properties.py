@@ -29,11 +29,11 @@ from xformlens import (
     table_from_json,
 )
 from xformlens.cli import COMMANDS, main
-from xformlens.fixtures import corpus_dir
 from xformlens.lexer import TokenStream
 from xformlens.report import render_reports
 
 from helpers import (
+    CORPUS,
     naive_profiles,
     naive_propagate,
     random_metamodel_text,
@@ -310,8 +310,8 @@ def test_parsers_return_or_raise_parse_error(source):
 
 # File contents: arbitrary bytes, arbitrary text, or a corpus file, so
 # that some calls get past parsing into analysis, tables and planning.
-_CORPUS = [p.read_bytes() for p in sorted(corpus_dir().iterdir()) if p.suffix in (".cmm", ".tfm")]
-_CONTENTS = st.binary() | st.text().map(str.encode) | st.sampled_from(_CORPUS)
+_CORPUS_FILES = [p.read_bytes() for p in sorted(CORPUS.iterdir()) if p.suffix in (".cmm", ".tfm")]
+_CONTENTS = st.binary() | st.text().map(str.encode) | st.sampled_from(_CORPUS_FILES)
 # The real flags and values of every command, plus bad values.
 _OPTION_WORDS = (
     "--format", "markdown", "html", "latex", "json", "xml", "--out", "out.txt",

@@ -1,0 +1,148 @@
+"""Mutant gate: every listed one-token fault must fail the tier-1 tests.
+
+Run from anywhere:
+
+    python3 tools/mutants.py
+
+Each mutant replaces one text, which must occur exactly once in its file,
+in a temporary copy of the repository. Tier-1 then runs there with `-x`,
+and the mutant is killed when it fails. The tool first runs tier-1 on the
+unmutated copy, since a failing suite would kill every mutant, and exits
+non-zero if that run fails or any mutant survives. Expect a few minutes.
+
+A mutant that changes no output belongs off this list: deleting
+`plan_chain`'s `if state in visited: continue` only slows the search.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PKG = "src/xformlens"
+
+# (file, old, new, why): `new` replaces `old`, which spans one changed line
+# plus any context that makes it unique.
+MUTANTS = [
+    # Rule classification.
+    (f"{PKG}/analyzer.py", "if rule.lazy:", "if rule.lazy and rule.guard is None:",
+     "a guard wins over the lazy keyword"),
+    (f"{PKG}/analyzer.py", 'action = "copy" if targets[0] ==', 'action = "copy" if targets[-1] ==',
+     "copy judged by the last target, not the first"),
+    # Profile fold.
+    (f"{PKG}/analyzer.py", "produced_as.update(cls.targets[1:])", "produced_as.update(cls.targets)",
+     "a copy lists its own concept in produced_as"),
+    (f"{PKG}/analyzer.py", "produced_as.update(cls.targets)\n", "produced_as.update(cls.targets[1:])\n",
+     "a mutation loses its first target"),
+    (f"{PKG}/analyzer.py", "target_concrete.intersection(produced_as)", "frozenset(produced_as)",
+     "an abstract target enters produced_as"),
+    (f"{PKG}/analyzer.py", "patterns_ok &= resolve(tp.concept", "resolve(tp.concept",
+     "an unknown target no longer gates its rule"),
+    (f"{PKG}/analyzer.py", "if not patterns_ok or src.name not in source_concrete:", "if not patterns_ok:",
+     "a rule over an abstract source folds into a profile"),
+    # Resolve scopes.
+    (f"{PKG}/analyzer.py", "read = {target_mm.name: set(), source_mm.name: mentioned_source}",
+     "read = {source_mm.name: mentioned_source, target_mm.name: set()}",
+     "the target entry wins the read scope of an endogenous module"),
+    (f"{PKG}/analyzer.py", "typed = {target_mm.name: set(), source_mm.name: set()}",
+     "typed = {target_mm.name: set(), source_mm.name: mentioned_source}",
+     "a helper's context and result type count as mentions"),
+    (f"{PKG}/analyzer.py", "written = {target_mm.name: mentioned_target}",
+     "written = {target_mm.name: mentioned_source}",
+     "target patterns count as source mentions"),
+    (f"{PKG}/analyzer.py", "for ref in r.guard.refs:\n                resolve(ref, owner, read)",
+     "for ref in r.guard.refs:\n                resolve(ref, owner, typed)",
+     "guard mentions stop counting"),
+    # Ignored sets and diagnostics.
+    (f"{PKG}/analyzer.py", "if c not in mentioned_source)", "if c not in mentioned_target)",
+     "ignored-in read from the target mentions"),
+    (f"{PKG}/analyzer.py", "if c not in mentioned_target)", "if c not in mentioned_source)",
+     "ignored-out read from the source mentions"),
+    (f"{PKG}/analyzer.py", "refined_domain=source_concrete - ignored_in,", "refined_domain=source_concrete - ignored_out,",
+     "refined domain cut by the ignored-out set"),
+    (f"{PKG}/analyzer.py", "if c in mentioned_source and c not in folded", "if c in mentioned_source and not profiles[c].copy_modes",
+     "a concept that is only mutated is called never processed"),
+    # Fixed point.
+    (f"{PKG}/analyzer.py", "if (Mode.CONDITIONALLY in p.copy_modes or Mode.LAZILY in p.copy_modes)",
+     "if (Mode.CONDITIONALLY in p.copy_modes)",
+     "a lazily copied concept cannot be focal"),
+    (f"{PKG}/analyzer.py", "and Mode.CONDITIONALLY in p.mutation_modes", "and p.mutation_modes",
+     "a focal concept needs no conditional mutation"),
+    (f"{PKG}/analyzer.py", "if c not in focal and p.mutation_modes", "if c not in focal and Mode.ALWAYS in p.mutation_modes",
+     "a conditional mutation outside the focal set is not stray"),
+    # Chains.
+    (f"{PKG}/chain.py", "if profile.copy_modes:", "if not profile.mutation_modes:",
+     "propagate keeps concepts no rule copies"),
+    (f"{PKG}/chain.py", "inputs[i] <= report.refined_domain,", "outputs[i] <= report.refined_domain,",
+     "step validity judged on the step's output"),
+    (f"{PKG}/chain.py", "introduced = outputs[i] - inputs[i]", "introduced = outputs[i]",
+     "a concept that passes through counts as introduced"),
+    (f"{PKG}/chain.py", "                    break\n", "                    pass\n",
+     "a useless-step warning repeats for every later dropping step"),
+    (f"{PKG}/chain.py", "reports = sorted(library, key=lambda r: r.transformation)", "reports = list(library)",
+     "the planner's tie-break follows library order"),
+    (f"{PKG}/chain.py", "if len(path) >= max_len:", "if len(path) > max_len:",
+     "the planner returns chains one step over max_len"),
+    (f"{PKG}/chain.py", "if mm is not None and report.source_mm != mm:", "if mm is None and report.source_mm != mm:",
+     "the planner chains steps across metamodels"),
+    # Tables and lexer.
+    (f"{PKG}/report.py", "collapsed = top[0] if len(top) == 1 else None", "collapsed = top[0]",
+     "a size tie still collapses one group to ALL OTHER"),
+    (f"{PKG}/lexer.py", r'r"|(?P<symbol><-|->|\.\.|.)"', r'r"|(?P<symbol>.|<-|->|\.\.)"',
+     "single characters are tried before `<-`, `->` and `..`"),
+    (f"{PKG}/lexer.py", r'r"(?:[ \t\r\n]+|--[^\n]*)*"', r'r"(?:[ \t\r\n]+|-[^\n]*)*"',
+     "one `-` starts a comment, so `<--` loses its `-`"),
+]
+
+
+def _tier1(cwd: Path) -> tuple[bool, float]:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    # A mutant may match its original's size and mtime second, so no bytecode may be cached.
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run(argv, cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=600)
+        passed = proc.returncode == 0
+    except subprocess.TimeoutExpired:  # a mutant that hangs the suite is caught by it
+        passed = False
+    return passed, time.perf_counter() - start
+
+
+def main() -> int:
+    originals = {}
+    for file, old, _, why in MUTANTS:
+        text = originals.setdefault(file, (ROOT / file).read_text(encoding="utf-8"))
+        if text.count(old) != 1:
+            print(f"error: {file}: the text of '{why}' occurs {text.count(old)} times, not once", file=sys.stderr)
+            return 2
+
+    with tempfile.TemporaryDirectory(prefix="xformlens-mutants-") as tmp:
+        copy = Path(tmp) / "repo"
+        junk = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench_work", "*.egg-info")
+        shutil.copytree(ROOT, copy, ignore=junk)
+        passed, seconds = _tier1(copy)
+        print(f"unmutated  {seconds:5.1f}s  tier-1 {'passes' if passed else 'FAILS'}", flush=True)
+        if not passed:
+            return 1
+        survivors = 0
+        for file, old, new, why in MUTANTS:
+            target = copy / file
+            target.write_text(originals[file].replace(old, new), encoding="utf-8")
+            try:
+                passed, seconds = _tier1(copy)
+            finally:
+                target.write_text(originals[file], encoding="utf-8")
+            survivors += passed
+            print(f"{'SURVIVED' if passed else 'killed':<9}  {seconds:5.1f}s  {file}: {why}", flush=True)
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,8 +12,10 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-# Import the package from this checkout, installed or not.
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+# Import the package from this checkout, installed or not, and the corpus
+# loader from its tests.
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from xformlens import (
     analyze,
@@ -22,7 +24,8 @@ from xformlens import (
     render,
     report_to_json,
 )
-from xformlens.fixtures import fixture_corpus
+
+from helpers import CORPUS, fixture_corpus
 
 
 def golden_texts(reports) -> dict[str, str]:
@@ -37,11 +40,10 @@ def golden_texts(reports) -> dict[str, str]:
 
 
 def main() -> None:
-    fixtures = Path(__file__).resolve().parents[1] / "fixtures"
     mm, transformations = fixture_corpus()
     reports = [analyze(t, mm, mm) for t in transformations]
     for name, text in golden_texts(reports).items():
-        path = fixtures / name
+        path = CORPUS / name
         path.parent.mkdir(exist_ok=True)
         path.write_bytes(text.encode("utf-8"))
         print("wrote", Path("fixtures", name))
