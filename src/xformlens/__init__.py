@@ -1,97 +1,38 @@
-"""Static analysis and chain planning for rule-based model transformations."""
+"""Static analysis and chain planning for rule-based model transformations.
 
-from .analyzer import (
-    AnalysisReport,
-    ConceptProfile,
-    FixedPointVerdict,
-    Lint,
-    MetamodelMismatchError,
-    Mode,
-    RuleClassification,
-    analyze,
-    classify_rule,
-    detect_fixed_point,
-)
-from .chain import (
-    ChainCompatibilityError,
-    ChainPlan,
-    ChainStep,
-    check_chain,
-    plan_chain,
-    propagate,
-)
-from .lexer import ParseError
-from .metamodel import (
-    Concept,
-    Feature,
-    Metamodel,
-    concrete_concepts,
-    parse_metamodel,
-    pretty_print,
-)
-from .report import (
-    ProfileGroup,
-    Table,
-    ignored_table,
-    profile_groups,
-    referenced_table,
-    render,
-    report_table,
-    report_to_json,
-    table_from_json,
-)
-from .transformation import (
-    Binding,
-    ConceptRef,
-    Expression,
-    Helper,
-    Rule,
-    TargetPattern,
-    Transformation,
-    parse_transformation,
-)
+The public names load on first use (PEP 562): `import xformlens` imports
+no submodule, and `xformlens.render` imports `xformlens.report` alone.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisReport",
-    "Binding",
-    "ChainCompatibilityError",
-    "ChainPlan",
-    "ChainStep",
-    "Concept",
-    "ConceptProfile",
-    "ConceptRef",
-    "Expression",
-    "Feature",
-    "FixedPointVerdict",
-    "Helper",
-    "Lint",
-    "Metamodel",
-    "MetamodelMismatchError",
-    "Mode",
-    "ParseError",
-    "ProfileGroup",
-    "Rule",
-    "RuleClassification",
-    "Table",
-    "TargetPattern",
-    "Transformation",
-    "analyze",
-    "check_chain",
-    "classify_rule",
-    "concrete_concepts",
-    "detect_fixed_point",
-    "ignored_table",
-    "parse_metamodel",
-    "parse_transformation",
-    "plan_chain",
-    "pretty_print",
-    "profile_groups",
-    "propagate",
-    "referenced_table",
-    "render",
-    "report_table",
-    "report_to_json",
-    "table_from_json",
-]
+# The public names of each module.
+_EXPORTS = {
+    "analyzer": (
+        "AnalysisReport", "ConceptProfile", "FixedPointVerdict", "Lint", "MetamodelMismatchError", "Mode",
+        "RuleClassification", "analyze", "classify_rule", "detect_fixed_point",
+    ),
+    "chain": ("ChainCompatibilityError", "ChainPlan", "ChainStep", "check_chain", "plan_chain", "propagate"),
+    "lexer": ("ParseError",),
+    "metamodel": ("Concept", "Feature", "Metamodel", "concrete_concepts", "parse_metamodel", "pretty_print"),
+    "report": (
+        "ProfileGroup", "Table", "ignored_table", "profile_groups", "referenced_table", "render",
+        "report_table", "report_to_json", "table_from_json",
+    ),
+    "transformation": (
+        "Binding", "ConceptRef", "Expression", "Helper", "Rule", "TargetPattern", "Transformation",
+        "parse_transformation",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value  # later lookups do not come back here
+    return value

@@ -12,11 +12,12 @@ import os
 import sys
 
 from .analyzer import MetamodelMismatchError, analyze as run_analysis
-from .chain import check_chain, plan_chain
-from .lexer import ParseError
+from .lexer import ParseError, one_line
 from .metamodel import Metamodel, concrete_concepts, declaration_order, parse_metamodel
-from .report import FORMATS, lint_text, one_line, render_reports
 from .transformation import parse_transformation
+
+# `report` and `chain` are imported by the commands that run them, so that
+# no command pays for a layer it never calls.
 
 _KIND_COLORS = {
     "unknown_concept": "31",
@@ -93,8 +94,12 @@ _INITIAL = ("--initial", dict(dest="initial_spec", metavar="CONCEPTS", default="
                               help="Comma-separated concrete concepts, or ALL (the default)."))
 
 
-def _command(name: str, *options: tuple[str, dict]):
-    """Register a command taking a metamodel path, transformation paths and `options`."""
+def _command(name: str, *options):
+    """Register a command taking a metamodel path, transformation paths and `options`.
+
+    An option is a (flag, spec) pair, or a function returning one when its
+    parser is built.
+    """
     def register(fn):
         COMMANDS[name] = (fn, options)
         return fn
@@ -119,7 +124,8 @@ def main(argv: list[str] | None = None) -> None:
     parser = _Parser(prog=f"xformlens {name}", description=fn.__doc__, allow_abbrev=False)
     parser.add_argument("metamodel_path")
     parser.add_argument("transformation_paths", nargs="+")
-    for flag, spec in options:
+    for option in options:
+        flag, spec = option() if callable(option) else option
         parser.add_argument(flag, **spec)
     args = parser.parse_intermixed_args(argv[1:])
     if sys.stdout is None:  # fd 1 is closed: printing fails like any other write
@@ -142,14 +148,22 @@ def main(argv: list[str] | None = None) -> None:
         raise SystemExit(code)
 
 
+def _format_option() -> tuple[str, dict]:
+    from .report import FORMATS
+
+    return "--format", dict(dest="fmt", choices=FORMATS, default="markdown", help="Output format (default: %(default)s).")
+
+
 @_command(
     "analyze",
-    ("--format", dict(dest="fmt", choices=FORMATS, default="markdown", help="Output format (default: %(default)s).")),
+    _format_option,
     ("--out", dict(dest="out_path", metavar="PATH", help="Write to this file instead of stdout.")),
     _STRICT,
 )
 def analyze(metamodel_path, transformation_paths, fmt, out_path, strict):
     """Analyze transformations and render ignored/referenced tables."""
+    from .report import render_reports
+
     mm, reports = _analyze_all(metamodel_path, transformation_paths)
     text = render_reports(reports, fmt)
     if out_path is None:
@@ -164,6 +178,8 @@ def analyze(metamodel_path, transformation_paths, fmt, out_path, strict):
 @_command("lint", _STRICT)
 def lint(metamodel_path, transformation_paths, strict):
     """List diagnostics, one line each; print 'no findings' when clean."""
+    from .report import lint_text
+
     mm, reports = _analyze_all(metamodel_path, transformation_paths)
     findings = [(r.transformation, d) for r in reports for d in r.diagnostics]
     for name, d in findings:
@@ -177,6 +193,8 @@ def lint(metamodel_path, transformation_paths, strict):
 @_command("chain-check", _INITIAL)
 def chain_check(metamodel_path, transformation_paths, initial_spec):
     """Validate an ordered chain of transformations step by step."""
+    from .chain import check_chain
+
     mm, reports = _analyze_all(metamodel_path, transformation_paths)
     initial = _concept_set(initial_spec, mm, "--initial")
     plan = check_chain(initial, reports)
@@ -202,6 +220,8 @@ def chain_check(metamodel_path, transformation_paths, initial_spec):
 )
 def chain_plan(metamodel_path, transformation_paths, initial_spec, require, forbid, max_len):
     """Find a shortest transformation chain meeting the goal, or exit 3."""
+    from .chain import plan_chain
+
     if max_len < 0:
         _fail("--max-len must be at least 0", 1)
     mm, reports = _analyze_all(metamodel_path, transformation_paths)

@@ -24,6 +24,15 @@ class ParseError(Exception):
         self.path = path
 
 
+# Every character on which str.splitlines() breaks, written as its code
+# point so that a file name cannot split a diagnostic or error line.
+_LINE_BREAKS = {ord(ch): f"U+{ord(ch):04X}" for ch in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+def one_line(text: str) -> str:
+    return text if text.isprintable() else text.translate(_LINE_BREAKS)  # no line break is printable
+
+
 class Token(NamedTuple):
     """One token; `kind` is "ident", "int", "string", "symbol" or "eof"."""
 
@@ -41,33 +50,35 @@ class Token(NamedTuple):
         return shown if self.kind == "symbol" else f"'{shown}'"
 
 
-# Blanks and comments are skipped before every token; the named group
-# that matches is the token's kind. A quote that does not close on its
-# own line matches `unterminated`. `--` is tried before `-`, so `-->`
-# is a comment, while `<--` is `<-` followed by `-`.
+# Blanks and comments are skipped before every token; the numbered group
+# that matches gives the token's kind in `_KINDS`. A quote that does not
+# close on its own line matches `unterminated`. `--` is tried before `-`,
+# so `-->` is a comment, while `<--` is `<-` followed by `-`.
 _TOKEN = re.compile(
     r"(?:[ \t\r\n]+|--[^\n]*)*"
-    r"(?:(?P<ident>[^\W\d]\w*)"
-    r"|(?P<int>\d+)"
-    r"|(?P<string>'[^'\n]*')"
-    r"|(?P<unterminated>')"
-    r"|(?P<symbol><-|->|\.\.|.)"
-    r"|(?P<eof>\Z))"
+    r"(?:([^\W\d]\w*)"
+    r"|(\d+)"
+    r"|('[^'\n]*')"
+    r"|(')"
+    r"|(<-|->|\.\.|.)"
+    r"|(\Z))"
 )
+_KINDS = (None, "ident", "int", "string", "unterminated", "symbol", "eof")
 
 
 def tokenize(source: str, path: str | None = None) -> list[Token]:
     tokens: list[Token] = []
+    append, new = tokens.append, tuple.__new__
     # Every position matches (`.` takes all but the newlines that the blank
     # prefix eats), so the matches tile the source; stop at the first `eof`.
     for m in _TOKEN.finditer(source):
-        kind = m.lastgroup
-        start = m.start(kind)
+        group = m.lastindex
+        kind, start = _KINDS[group], m.start(group)
         if kind == "unterminated":
             line = source.count("\n", 0, start) + 1
             column = start - source.rfind("\n", 0, start)
             raise ParseError("unterminated string literal", line, column, path)
-        tokens.append(Token(kind, m[kind], start))
+        append(new(Token, (kind, m[group], start)))
         if kind == "eof":
             return tokens
 
@@ -98,21 +109,27 @@ class TokenStream:
     def at(self, text: str) -> bool:
         return self.tokens[self.pos].text == text
 
+    # No keyword or symbol is spelled "", the text of `eof`, so a token that
+    # these three match is never the last one and `pos` can step past it.
     def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.advance()
+        if self.tokens[self.pos].text == text:
+            self.pos += 1
             return True
         return False
 
     def expect(self, text: str) -> Token:
-        if not self.at(text):
-            raise self.error(f"expected '{text}', found {self.peek().describe()}")
-        return self.advance()
+        tok = self.tokens[self.pos]
+        if tok.text != text:
+            raise self.error(f"expected '{text}', found {tok.describe()}")
+        self.pos += 1
+        return tok
 
     def expect_ident(self, what: str = "identifier") -> Token:
-        if self.peek().kind != "ident":
-            raise self.error(f"expected {what}, found {self.peek().describe()}")
-        return self.advance()
+        tok = self.tokens[self.pos]
+        if tok.kind != "ident":
+            raise self.error(f"expected {what}, found {tok.describe()}")
+        self.pos += 1
+        return tok
 
     def expect_eof(self) -> None:
         if self.peek().kind != "eof":

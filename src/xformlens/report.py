@@ -10,6 +10,7 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from .analyzer import AnalysisReport, Lint, Mode
+from .lexer import one_line
 from .metamodel import declaration_order
 
 # Table labels of the modes, in display order: the rarest mode comes
@@ -18,9 +19,6 @@ _MODE_LABELS = {Mode.LAZILY: "lazily", Mode.CONDITIONALLY: "cond.", Mode.ALWAYS:
 # JSON lists a mode set in Mode's declaration order. A tuple, since
 # iterating the enum itself runs a generator on every call.
 _MODE_ORDER = tuple(Mode)
-# Every character on which str.splitlines() breaks, written as its code
-# point so that a file name cannot split a diagnostic or error line.
-_LINE_BREAKS = {ord(ch): f"U+{ord(ch):04X}" for ch in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
 class _TableFields(NamedTuple):
@@ -143,10 +141,6 @@ def report_table(report: AnalysisReport) -> Table:
     for d in report.diagnostics:
         rows.append(("diagnostic", lint_text(d)))
     return Table(f"report: {report.transformation}", ("field", "value"), tuple(rows))
-
-
-def one_line(text: str) -> str:
-    return text if text.isprintable() else text.translate(_LINE_BREAKS)  # no line break is printable
 
 
 def lint_text(d: Lint, kind: str | None = None, fallback: str | None = None) -> str:

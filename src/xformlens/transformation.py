@@ -219,8 +219,11 @@ def _parse_qref(ts: TokenStream) -> ConceptRef:
 def _expression(ts: TokenStream, run: list[Token]) -> Expression:
     raw = ts.slice(run[0], run[-1])
     refs = []
-    for a, b, c in zip(run, run[1:], run[2:]):
-        if a.kind == "ident" and b.text == "!" and c.kind == "ident":
-            refs.append(ConceptRef(a.text, c.text, *ts.position(a)))
+    if "!" in raw:  # without a `!` the run names no concept: skip the walk
+        for i in range(1, len(run) - 1):
+            if run[i].text == "!":
+                a, c = run[i - 1], run[i + 1]
+                if a.kind == "ident" and c.kind == "ident":
+                    refs.append(ConceptRef(a.text, c.text, *ts.position(a)))
     return Expression(raw, tuple(refs))
 

@@ -6,11 +6,15 @@ instead of an implementation with itself.
 """
 from __future__ import annotations
 
+import os
 import random
+import re
 from itertools import product
 from pathlib import Path
 
-from xformlens import parse_metamodel, parse_transformation
+import xformlens
+from xformlens import ParseError, parse_metamodel, parse_transformation
+from xformlens.lexer import Token
 
 # The constraint-programming pivot metamodel excerpt, five endogenous
 # transformations over it, and the golden outputs rendered from them.
@@ -34,6 +38,19 @@ def fixture_corpus():
         path = CORPUS / f"{name}.tfm"
         transformations.append(parse_transformation(path.read_text(encoding="utf-8"), path=str(path)))
     return mm, tuple(transformations)
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment with this checkout's `src` first on PYTHONPATH and a buffered stdout.
+
+    A buffered stdout keeps the bytes it failed to write, and the flush at
+    exit tries them again; PYTHONUNBUFFERED would hide that.
+    """
+    src = str(Path(xformlens.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
 
 RULE_COPY_ALWAYS = """rule DataType {
 	from
@@ -288,3 +305,31 @@ def reference_report_dict(report):
         ],
         "diagnostics": diagnostics,
     }
+
+
+# The reference scanner for `lexer.tokenize`, spelled with named groups:
+# the group that matches is the token's kind.
+_REFERENCE_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|--[^\n]*)*"
+    r"(?:(?P<ident>[^\W\d]\w*)"
+    r"|(?P<int>\d+)"
+    r"|(?P<string>'[^'\n]*')"
+    r"|(?P<unterminated>')"
+    r"|(?P<symbol><-|->|\.\.|.)"
+    r"|(?P<eof>\Z))"
+)
+
+
+def reference_tokenize(source, path=None):
+    """The token list of `source`, or a ParseError at an unterminated quote."""
+    tokens = []
+    for m in _REFERENCE_TOKEN.finditer(source):
+        kind = m.lastgroup
+        start = m.start(kind)
+        if kind == "unterminated":
+            line = source.count("\n", 0, start) + 1
+            column = start - source.rfind("\n", 0, start)
+            raise ParseError("unterminated string literal", line, column, path)
+        tokens.append(Token(kind, m[kind], start))
+        if kind == "eof":
+            return tokens

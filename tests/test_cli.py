@@ -21,7 +21,7 @@ from xformlens import (
 )
 from xformlens.cli import main
 
-from helpers import CORPUS, fixture_corpus, wrap_rules
+from helpers import CORPUS, fixture_corpus, subprocess_env, wrap_rules
 
 FIXED_ARGS = [
     "pivot.cmm",
@@ -460,18 +460,6 @@ def test_chain_plan_accepts_options_among_the_paths(cli, monkeypatch, argv, code
     assert result.out.splitlines()[: len(lines)] == lines
 
 
-def _subprocess_env() -> dict[str, str]:
-    """The environment with this checkout's `src` first on PYTHONPATH and a buffered stdout.
-
-    A buffered stdout keeps the bytes it failed to write, and the flush at
-    exit tries them again; PYTHONUNBUFFERED would hide that.
-    """
-    src = str(Path(xformlens.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("PYTHONUNBUFFERED", None)
-    return env
-
-
 def test_cli_import_loads_no_dataclasses_inspect_or_click():
     # Start-up cost: each of these modules adds milliseconds to every call.
     # A subprocess, because pytest itself has already imported dataclasses,
@@ -481,10 +469,42 @@ def test_cli_import_loads_no_dataclasses_inspect_or_click():
     banned = "{'dataclasses', 'inspect', 'click', 'pathlib', 'fnmatch', 'urllib', 'json', 'html'}"
     probe = f"import sys, xformlens.cli; print(*sorted({banned} & set(sys.modules)))"
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=_subprocess_env(), timeout=60
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=subprocess_env(), timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "\n"
+
+
+_LOADED = "print(*sorted(m for m in sys.modules if m.startswith('xformlens')), file=sys.stderr)"
+_BASE_MODULES = ["xformlens", "xformlens.analyzer", "xformlens.cli", "xformlens.lexer", "xformlens.metamodel",
+                 "xformlens.transformation"]
+
+
+@pytest.mark.parametrize(
+    "command, layer",
+    [(["analyze"], "report"), (["analyze", "--format", "json"], "report"), (["lint"], "report"),
+     (["chain-check"], "chain"), (["chain-plan", "--forbid", "Class", "--forbid", "Record"], "chain")],
+    ids=["analyze", "analyze-json", "lint", "chain-check", "chain-plan"],
+)
+def test_each_command_loads_only_the_layers_it_runs(corpus_args, command, layer):
+    # Under -S, in a fresh interpreter: chain commands never load report,
+    # and analyze and lint never load chain.
+    probe = f"import sys\nfrom xformlens.cli import main\ntry:\n    main(sys.argv[1:])\nfinally:\n    {_LOADED}"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *command, *corpus_args],
+        capture_output=True, text=True, env=subprocess_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == sorted([*_BASE_MODULES, f"xformlens.{layer}"])
+
+
+def test_importing_the_package_loads_no_submodule():
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", f"import sys, xformlens\n{_LOADED}"],
+        capture_output=True, text=True, env=subprocess_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["xformlens"]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -496,7 +516,7 @@ def test_cli_import_loads_no_dataclasses_inspect_or_click():
 )
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 def test_a_failed_write_is_one_error_line(corpus_args, command, buffered):
-    env = _subprocess_env()
+    env = subprocess_env()
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "wb") as full:
@@ -522,7 +542,7 @@ def test_lint_exits_quietly_when_stdout_is_closed(cli, tmp_path):
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "xformlens", *args],
-            stdout=write_end, stderr=subprocess.PIPE, env=_subprocess_env(), timeout=60,
+            stdout=write_end, stderr=subprocess.PIPE, env=subprocess_env(), timeout=60,
         )
     finally:
         os.close(write_end)
@@ -538,7 +558,7 @@ def test_a_short_output_to_a_closed_stdout_exits_quietly(corpus_args):
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "xformlens", "chain-check", *corpus_args],
-            stdout=write_end, stderr=subprocess.PIPE, env=_subprocess_env(), timeout=60,
+            stdout=write_end, stderr=subprocess.PIPE, env=subprocess_env(), timeout=60,
         )
     finally:
         os.close(write_end)
@@ -551,7 +571,7 @@ def _run_with_stdout_closed(args: list[str]) -> subprocess.CompletedProcess:
     script = 'exec "$0" -m xformlens "$@" >&-'
     return subprocess.run(
         ["sh", "-c", script, sys.executable, *args],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=_subprocess_env(), timeout=60,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=subprocess_env(), timeout=60,
     )
 
 
@@ -612,7 +632,7 @@ def test_an_undecodable_file_name_is_printed_as_its_bytes(tmp_path, command):
         )
     except (OSError, UnicodeError):
         pytest.skip("the file system refuses a non-UTF-8 file name")
-    env = dict(_subprocess_env(), PYTHONIOENCODING="utf-8:strict")
+    env = dict(subprocess_env(), PYTHONIOENCODING="utf-8:strict")
     argv = [sys.executable, "-m", "xformlens", *command, "mini.cmm", os.fsdecode(b"d/\xff.tfm")]
     proc = subprocess.run(argv, cwd=tmp_path, capture_output=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -628,7 +648,7 @@ def test_an_undecodable_file_name_has_one_spelling_on_stderr(tmp_path):
         tfm.write_text("module t;\ncreate OUT : M from IN : M;\nrule r { from s : M!A to t : }\n", encoding="utf-8")
     except (OSError, UnicodeError):
         pytest.skip("the file system refuses a non-UTF-8 file name")
-    env = dict(_subprocess_env(), PYTHONIOENCODING="utf-8:strict")
+    env = dict(subprocess_env(), PYTHONIOENCODING="utf-8:strict")
     argv = [sys.executable, "-m", "xformlens", "lint", "mini.cmm", os.fsdecode(b"d/\xfe.tfm")]
     proc = subprocess.run(argv, cwd=tmp_path, capture_output=True, env=env, timeout=60)
     assert proc.returncode == 1
@@ -639,7 +659,7 @@ def test_an_undecodable_file_name_has_one_spelling_on_stderr(tmp_path):
 def test_an_error_the_stderr_encoding_cannot_hold_is_escaped(tmp_path):
     (tmp_path / "s.cmm").write_text("metamodel M { \u00a7 }", encoding="utf-8")
     (tmp_path / "t.tfm").write_text("module t;\ncreate OUT : M from IN : M;\n", encoding="utf-8")
-    env = dict(_subprocess_env(), PYTHONIOENCODING="ascii")
+    env = dict(subprocess_env(), PYTHONIOENCODING="ascii")
     argv = [sys.executable, "-m", "xformlens", "lint", "s.cmm", "t.tfm"]
     proc = subprocess.run(argv, cwd=tmp_path, capture_output=True, env=env, timeout=60)
     assert proc.returncode == 1

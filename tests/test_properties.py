@@ -29,7 +29,7 @@ from xformlens import (
     table_from_json,
 )
 from xformlens.cli import COMMANDS, main
-from xformlens.lexer import TokenStream
+from xformlens.lexer import Token, TokenStream, tokenize
 from xformlens.report import render_reports
 
 from helpers import (
@@ -39,6 +39,7 @@ from helpers import (
     random_metamodel_text,
     random_transformation_text,
     reference_report_dict,
+    reference_tokenize,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -231,6 +232,37 @@ def test_report_to_json_writes_what_json_dumps_writes(report):
 def test_analyze_json_writes_what_json_dumps_writes(reports):
     expected = json.dumps([reference_report_dict(r) for r in reports], indent=2) + "\n"
     assert render_reports(reports, "json") == expected
+
+
+# Text built from the lexer's edge cases: quotes, comments and the
+# two-character symbols, line ends and tabs, letters and digits beyond
+# ASCII (`²` is a word character but no digit, `٣` a digit), control
+# characters, and any other code point.
+lexer_text = st.lists(
+    st.sampled_from(
+        ["'", "--", "<-", "->", "..", "-", "<", ">", ".", "!", "\r", "\n", "\t", " ", "\r\n",
+         "a", "_", "é", "ß", "Ⅻ", "7", "٣", "²", "½", "\x00", "\x0b", "\x0c", "\x1f", "\x7f", "\x85", "\u2028"]
+    )
+    | st.characters(),
+    max_size=30,
+).map("".join)
+
+
+def _lexed(scan, source):
+    try:
+        return scan(source, "probe.tfm")
+    except ParseError as exc:
+        return str(exc)
+
+
+@given(lexer_text)
+@example("a<--b -->c\r\n'x' '")
+@example("x²1 ٣y ½ '\t'..->")
+@settings(deadline=None, max_examples=300)
+def test_tokenize_matches_the_reference_scanner(source):
+    tokens = _lexed(tokenize, source)
+    assert tokens == _lexed(reference_tokenize, source)
+    assert isinstance(tokens, str) or all(type(t) is Token for t in tokens)
 
 
 cell = st.text(

@@ -93,10 +93,21 @@ MUTANTS = [
     # Tables and lexer.
     (f"{PKG}/report.py", "collapsed = top[0] if len(top) == 1 else None", "collapsed = top[0]",
      "a size tie still collapses one group to ALL OTHER"),
-    (f"{PKG}/lexer.py", r'r"|(?P<symbol><-|->|\.\.|.)"', r'r"|(?P<symbol>.|<-|->|\.\.)"',
+    (f"{PKG}/lexer.py", r'r"|(<-|->|\.\.|.)"', r'r"|(.|<-|->|\.\.)"',
      "single characters are tried before `<-`, `->` and `..`"),
     (f"{PKG}/lexer.py", r'r"(?:[ \t\r\n]+|--[^\n]*)*"', r'r"(?:[ \t\r\n]+|-[^\n]*)*"',
      "one `-` starts a comment, so `<--` loses its `-`"),
+    (f"{PKG}/lexer.py", '(None, "ident", "int", "string",', '(None, "ident", "string", "int",',
+     "integers and strings swap kinds"),
+    (f"{PKG}/lexer.py", 'if kind == "unterminated":', "if not kind:",
+     "an unterminated quote becomes a token"),
+    (f"{PKG}/lexer.py", """found {tok.describe()}")\n        self.pos += 1\n        return tok\n\n    def expect_ident""",
+     """found {tok.describe()}")\n        return tok\n\n    def expect_ident""",
+     "`expect` does not step past the token it matched"),
+    # Package names.
+    (f"{PKG}/__init__.py", '"plan_chain", "propagate"),\n    "lexer": ("ParseError",),',
+     '"plan_chain"),\n    "lexer": ("ParseError", "propagate"),',
+     "a public name is looked up in the wrong module"),
 ]
 
 
