@@ -19,11 +19,10 @@ from .transformation import parse_transformation
 # `report` and `chain` are imported by the commands that run them, so that
 # no command pays for a layer it never calls.
 
-_KIND_COLORS = {
-    "unknown_concept": "31",
-    "never_processed": "33",
-    "ignored_in": "36",
-    "ignored_out": "36",
+# Each lint kind as XFORMLENS_COLOR=1 shows it.
+_PAINTED = {
+    kind: f"\x1b[{color}m{kind}\x1b[0m"
+    for kind, color in (("unknown_concept", 31), ("never_processed", 33), ("ignored_in", 36), ("ignored_out", 36))
 }
 
 
@@ -70,15 +69,28 @@ def _set_text(s: frozenset[str], mm: Metamodel) -> str:
     return ", ".join(declaration_order(concrete_concepts(mm))(s))
 
 
-def _paint(kind: str) -> str:
-    if os.environ.get("XFORMLENS_COLOR") == "1":
-        return f"\x1b[{_KIND_COLORS.get(kind, '0')}m{kind}\x1b[0m"
-    return kind
-
-
 class _ClosedStdout(io.TextIOBase):  # sys.stdout when fd 1 is closed, where Python leaves None
     def write(self, text: str) -> int:
         raise OSError("stdout is closed")
+
+
+def _write_all(stream, text: str) -> None:
+    """Write `text` to `stream` and flush it.
+
+    Unbuffered, `stream.buffer` is the raw file, which may take only part
+    of a write; the text layer would drop the rest silently.
+    """
+    raw = getattr(stream, "buffer", None)
+    if raw is None:  # a text-only stream, such as io.StringIO or a closed stdout
+        stream.write(text)
+    else:
+        data = memoryview(text.encode(stream.encoding, stream.errors))
+        while data:
+            taken = raw.write(data)
+            if taken is None:  # a non-blocking file that is full: trying again would spin
+                raise BlockingIOError("stdout would block")
+            data = data[taken:]
+    stream.flush()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,7 +110,8 @@ def _command(name: str, *options):
     """Register a command taking a metamodel path, transformation paths and `options`.
 
     An option is a (flag, spec) pair, or a function returning one when its
-    parser is built.
+    parser is built. The command returns its stdout text and exit code, and
+    `main` writes the text in one call.
     """
     def register(fn):
         COMMANDS[name] = (fn, options)
@@ -128,11 +141,12 @@ def main(argv: list[str] | None = None) -> None:
         flag, spec = option() if callable(option) else option
         parser.add_argument(flag, **spec)
     args = parser.parse_intermixed_args(argv[1:])
-    if sys.stdout is None:  # fd 1 is closed: printing fails like any other write
+    if sys.stdout is None:  # fd 1 is closed: writing fails like any other write
         sys.stdout = _ClosedStdout()
     try:
-        code = fn(**vars(args))
-        sys.stdout.flush()
+        text, code = fn(**vars(args))
+        if text:
+            _write_all(sys.stdout, text)
     except (OSError, ParseError, MetamodelMismatchError) as exc:  # every input and I/O failure ends here
         try:  # a failed write stays in stdout's buffer, so flushing it fails again
             sys.stdout.flush()
@@ -166,13 +180,11 @@ def analyze(metamodel_path, transformation_paths, fmt, out_path, strict):
 
     mm, reports = _analyze_all(metamodel_path, transformation_paths)
     text = render_reports(reports, fmt)
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
+    if out_path is not None:
         with open(out_path, "w", encoding="utf-8", errors="surrogateescape") as fh:
             fh.write(text)
-    if strict and any(d.kind == "unknown_concept" for r in reports for d in r.diagnostics):
-        return 2
+        text = ""
+    return text, 2 if strict and any(d.kind == "unknown_concept" for r in reports for d in r.diagnostics) else 0
 
 
 @_command("lint", _STRICT)
@@ -181,13 +193,10 @@ def lint(metamodel_path, transformation_paths, strict):
     from .report import lint_text
 
     mm, reports = _analyze_all(metamodel_path, transformation_paths)
-    findings = [(r.transformation, d) for r in reports for d in r.diagnostics]
-    for name, d in findings:
-        print(lint_text(d, kind=_paint(d.kind), fallback=name))
-    if not findings:
-        print("no findings")
-    if strict and any(d.kind == "unknown_concept" for _, d in findings):
-        return 2
+    kinds = _PAINTED if os.environ.get("XFORMLENS_COLOR") == "1" else {}
+    lines = [lint_text(d, kind=kinds.get(d.kind), fallback=r.transformation) for r in reports for d in r.diagnostics]
+    unknown = strict and any(d.kind == "unknown_concept" for r in reports for d in r.diagnostics)
+    return "\n".join(lines or ["no findings"]) + "\n", 2 if unknown else 0
 
 
 @_command("chain-check", _INITIAL)
@@ -198,17 +207,17 @@ def chain_check(metamodel_path, transformation_paths, initial_spec):
     mm, reports = _analyze_all(metamodel_path, transformation_paths)
     initial = _concept_set(initial_spec, mm, "--initial")
     plan = check_chain(initial, reports)
-    print(f"initial: {_set_text(plan.initial_set, mm)}")
+    lines = [f"initial: {_set_text(plan.initial_set, mm)}"]
     for i, step in enumerate(plan.steps, start=1):
         if step.valid:
-            print(f"step {i}: {step.transformation}: VALID")
+            lines.append(f"step {i}: {step.transformation}: VALID")
         else:
             blocked = _set_text(step.input_set - reports[i - 1].refined_domain, mm)
-            print(f"step {i}: {step.transformation}: INVALID (outside refined domain: {blocked})")
-        for w in step.warnings:
-            print(f"  warning: {w}")
-    print(f"final: {_set_text(plan.final_set, mm)}")
-    print(f"chain: {'VALID' if plan.goal_met else 'INVALID'}")
+            lines.append(f"step {i}: {step.transformation}: INVALID (outside refined domain: {blocked})")
+        lines.extend(f"  warning: {w}" for w in step.warnings)
+    lines.append(f"final: {_set_text(plan.final_set, mm)}")
+    lines.append(f"chain: {'VALID' if plan.goal_met else 'INVALID'}")
+    return "\n".join(lines) + "\n", 0
 
 
 @_command(
@@ -239,11 +248,10 @@ def chain_plan(metamodel_path, transformation_paths, initial_spec, require, forb
         _fail(f"--require and --forbid overlap: {_set_text(overlap, mm)}", 1)
     plan = plan_chain(reports, initial, required, forbidden, max_len)
     if plan is None:
-        print("no plan")
-        return 3
-    print(f"plan: {len(plan.steps)} step(s)")
+        return "no plan\n", 3
+    lines = [f"plan: {len(plan.steps)} step(s)"]
     for i, step in enumerate(plan.steps, start=1):
-        print(f"step {i}: {step.transformation}")
-        for w in step.warnings:
-            print(f"  warning: {w}")
-    print(f"final: {_set_text(plan.final_set, mm)}")
+        lines.append(f"step {i}: {step.transformation}")
+        lines.extend(f"  warning: {w}" for w in step.warnings)
+    lines.append(f"final: {_set_text(plan.final_set, mm)}")
+    return "\n".join(lines) + "\n", 0

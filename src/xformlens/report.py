@@ -301,7 +301,11 @@ def report_to_json(report: AnalysisReport) -> str:
     profiles = [_json_block("{}", [f'"concept": {q(c)}', tails[p]], "    ") for c, p in report.profiles.items()]
     # A diagnostic's fields in Lint's order; a position field only when known.
     diagnostics = [
-        [f'"{k}": {q(v) if isinstance(v, str) else v}' for k, v in zip(d._fields, d) if v is not None]
+        f'{{\n      "kind": {q(d.kind)},\n      "subject": {q(d.subject)},\n      "message": {q(d.message)}'
+        + ("" if d.file is None else f',\n      "file": {q(d.file)}')
+        + ("" if d.line is None else f',\n      "line": {d.line}')
+        + ("" if d.column is None else f',\n      "column": {d.column}')
+        + "\n    }"
         for d in report.diagnostics
     ]
     return _json_block(
@@ -316,7 +320,7 @@ def report_to_json(report: AnalysisReport) -> str:
             f'"refined_codomain": {strings(tgt(report.refined_codomain), "  ")}',
             f'"fixed_point_candidate": {"true" if report.fixed_point_candidate else "false"}',
             f'"profiles": {_json_block("[]", profiles, "  ")}',
-            f'"diagnostics": {_json_block("[]", [_json_block("{}", d, "    ") for d in diagnostics], "  ")}',
+            f'"diagnostics": {_json_block("[]", diagnostics, "  ")}',
         ],
         "",
     )

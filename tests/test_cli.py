@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, and error handling."""
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -528,14 +529,88 @@ def test_a_failed_write_is_one_error_line(corpus_args, command, buffered):
     assert proc.stderr == b"error: [Errno 28] No space left on device\n"
 
 
-def test_lint_exits_quietly_when_stdout_is_closed(cli, tmp_path):
-    # Enough findings to overflow a pipe buffer (64 KiB on Linux), so the
-    # write fails while the command runs, not only at exit.
-    mm = tmp_path / "wide.cmm"
+@pytest.fixture(scope="module")
+def wide_args(tmp_path_factory):
+    """A 1000-concept metamodel and a module that copies one concept: every
+    command's output overflows a pipe buffer (64 KiB on Linux), so a write
+    fails while the command runs, not only at exit."""
+    tmp = tmp_path_factory.mktemp("wide")
+    mm = tmp / "wide.cmm"
     mm.write_text("metamodel W {\n" + "".join(f"\tclass C{i} {{}}\n" for i in range(1000)) + "}\n", encoding="utf-8")
-    tfm = tmp_path / "one.tfm"
+    tfm = tmp / "one.tfm"
     tfm.write_text("module one;\ncreate OUT : W from IN : W;\nrule C0 { from s : W!C0 to t : W!C0() }\n", encoding="utf-8")
-    args = ["lint", str(mm), str(tfm)]
+    return [str(mm), str(tfm)]
+
+
+LARGE_OUTPUTS = pytest.mark.parametrize(
+    "command", [["lint"], ["analyze"], ["analyze", "--format", "json"]], ids=["lint", "analyze", "analyze-json"]
+)
+BUFFERING = pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+
+
+def _spawn(args: list[str], buffered: bool) -> subprocess.Popen:
+    env = subprocess_env()
+    if not buffered:  # stdout's buffer is then the raw file, whose write may be short
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen(
+        [sys.executable, "-m", "xformlens", *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+
+
+@LARGE_OUTPUTS
+@BUFFERING
+def test_a_reader_leaving_mid_output_gives_exit_one(cli, wide_args, command, buffered):
+    assert len(cli([*command, *wide_args]).out.encode()) > 128 * 1024
+    with _spawn([*command, *wide_args], buffered) as proc:
+        assert os.read(proc.stdout.fileno(), 16)
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""  # no traceback
+
+
+@LARGE_OUTPUTS
+@BUFFERING
+def test_a_large_output_reaches_its_reader_whole(cli, wide_args, command, buffered):
+    with _spawn([*command, *wide_args], buffered) as proc:
+        out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+    assert out == cli([*command, *wide_args]).out.encode()
+
+
+class _ShortWriter(io.RawIOBase):
+    """A raw file that takes at most `limit` bytes per write; with no limit, it is full and returns None."""
+
+    def __init__(self, limit: int | None):
+        self.limit, self.taken = limit, bytearray()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int | None:
+        if self.limit is None:
+            return None
+        self.taken += data[: self.limit]
+        return min(len(data), self.limit)
+
+
+def test_a_short_write_is_followed_by_the_rest(cli, wide_args, monkeypatch):
+    expected = cli(["lint", *wide_args]).out
+    raw = _ShortWriter(1000)
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+    main(["lint", *wide_args])
+    monkeypatch.undo()
+    assert raw.taken.decode() == expected
+
+
+def test_a_full_non_blocking_stdout_is_one_error_line(cli, corpus_args, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(_ShortWriter(None), encoding="utf-8", write_through=True))
+    result = cli(["lint", *corpus_args])
+    monkeypatch.undo()
+    assert (result.exit_code, result.err) == (1, "error: stdout would block\n")
+
+
+def test_lint_exits_quietly_when_stdout_is_closed(cli, wide_args):
+    args = ["lint", *wide_args]
     assert len(cli(args).out.encode()) > 64 * 1024
     read_end, write_end = os.pipe()
     os.close(read_end)

@@ -104,6 +104,14 @@ MUTANTS = [
     (f"{PKG}/lexer.py", """found {tok.describe()}")\n        self.pos += 1\n        return tok\n\n    def expect_ident""",
      """found {tok.describe()}")\n        return tok\n\n    def expect_ident""",
      "`expect` does not step past the token it matched"),
+    # Output. Killed by test_lint_colors_kinds_when_enabled, test_properties.py's
+    # test_report_to_json_writes_what_json_dumps_writes and test_a_short_write_is_followed_by_the_rest.
+    (f"{PKG}/cli.py", 'os.environ.get("XFORMLENS_COLOR") == "1"', 'os.environ.get("XFORMLENS_COLOR") != "1"',
+     "lint colours its kinds only when XFORMLENS_COLOR=1 is unset"),
+    (f"{PKG}/report.py", '"" if d.line is None else', '"" if d.line is not None else',
+     "a diagnostic's JSON has a line exactly when it has none"),
+    (f"{PKG}/cli.py", "data = data[taken:]", "data = data[len(data):]",
+     "the bytes a short write left are dropped"),
     # Package names.
     (f"{PKG}/__init__.py", '"plan_chain", "propagate"),\n    "lexer": ("ParseError",),',
      '"plan_chain"),\n    "lexer": ("ParseError", "propagate"),',
