@@ -7,8 +7,8 @@ refined domain and codomain, a fixed-point verdict, and diagnostics.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from .metamodel import Metamodel, concrete_concepts, declaration_order
 from .transformation import ConceptRef, Rule, Transformation
@@ -24,47 +24,44 @@ class Mode(Enum):
     LAZILY = "lazily"
 
 
-class RuleClassification(NamedTuple):
-    action: str  # "copy" | "mutation"
-    mode: Mode
-    targets: tuple[str, ...]
+# action: "copy" | "mutation"; mode: Mode; targets: tuple[str, ...]
+RuleClassification = namedtuple("RuleClassification", "action mode targets")
+
+# copy_modes, mutation_modes: frozenset[Mode]; produced_as: frozenset[str]
+ConceptProfile = namedtuple(
+    "ConceptProfile", "copy_modes mutation_modes produced_as", defaults=(frozenset(),) * 3
+)
+
+# kind: "unknown_concept" | "never_processed" | "ignored_in" | "ignored_out";
+# subject, message: str; file: str | None; line, column: int | None
+Lint = namedtuple("Lint", "kind subject message file line column", defaults=(None, None, None))
 
 
-class ConceptProfile(NamedTuple):
-    copy_modes: frozenset[Mode] = frozenset()
-    mutation_modes: frozenset[Mode] = frozenset()
-    produced_as: frozenset[str] = frozenset()
+class FixedPointVerdict(namedtuple("FixedPointVerdict", "flag explanation focal", defaults=((),))):
+    """`flag` (bool, also the truth value), its `explanation` (str) and the
+    focal concepts (tuple[str, ...])."""
 
-
-class Lint(NamedTuple):
-    kind: str  # unknown_concept | never_processed | ignored_in | ignored_out
-    subject: str
-    message: str
-    file: str | None = None
-    line: int | None = None
-    column: int | None = None
-
-
-class FixedPointVerdict(NamedTuple):
-    flag: bool
-    explanation: str
-    focal: tuple[str, ...] = ()
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.flag
 
 
-class AnalysisReport(NamedTuple):
-    transformation: str
-    source_mm: str
-    target_mm: str
-    profiles: dict[str, ConceptProfile]  # keyed by concrete source concepts, declaration order
-    target_concepts: tuple[str, ...]
-    ignored_in: frozenset[str]
-    ignored_out: frozenset[str]
-    refined_domain: frozenset[str]
-    refined_codomain: frozenset[str]
-    diagnostics: tuple[Lint, ...] = ()
+class AnalysisReport(
+    namedtuple(
+        "AnalysisReport",
+        "transformation source_mm target_mm profiles target_concepts"
+        " ignored_in ignored_out refined_domain refined_codomain diagnostics",
+        defaults=((),),
+    )
+):
+    """One transformation's analysis. `transformation`, `source_mm` and
+    `target_mm` are names (str); `profiles` is a dict[str, ConceptProfile]
+    keyed by the concrete source concepts in declaration order;
+    `target_concepts` is a tuple[str, ...]; the ignored and refined sets
+    are frozenset[str]; `diagnostics` is a tuple[Lint, ...]."""
+
+    __slots__ = ()
 
     @property
     def source_concepts(self) -> tuple[str, ...]:

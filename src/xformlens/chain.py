@@ -7,9 +7,8 @@ mutation products are added, and unmatched concepts disappear.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Iterable, Sequence
-from typing import NamedTuple
 
 from .analyzer import AnalysisReport
 
@@ -18,18 +17,15 @@ class ChainCompatibilityError(ValueError):
     """Adjacent chain steps disagree on the intermediate metamodel."""
 
 
-class ChainStep(NamedTuple):
-    transformation: str
-    input_set: frozenset[str]
-    output_set: frozenset[str]
-    valid: bool
-    warnings: tuple[str, ...] = ()
+# transformation: str; input_set, output_set: frozenset[str]; valid: bool; warnings: tuple[str, ...]
+ChainStep = namedtuple("ChainStep", "transformation input_set output_set valid warnings", defaults=((),))
 
 
-class ChainPlan(NamedTuple):
-    initial_set: frozenset[str]
-    steps: tuple[ChainStep, ...]
-    goal_met: bool
+class ChainPlan(namedtuple("ChainPlan", "initial_set steps goal_met")):
+    """`initial_set` (frozenset[str]) folded through `steps`
+    (tuple[ChainStep, ...]); `goal_met` (bool) when every step is valid."""
+
+    __slots__ = ()
 
     @property
     def final_set(self) -> frozenset[str]:

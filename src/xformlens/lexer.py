@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 
 class ParseError(Exception):
@@ -33,12 +33,11 @@ def one_line(text: str) -> str:
     return text if text.isprintable() else text.translate(_LINE_BREAKS)  # no line break is printable
 
 
-class Token(NamedTuple):
-    """One token; `kind` is "ident", "int", "string", "symbol" or "eof"."""
+class Token(namedtuple("Token", "kind text offset")):
+    """One token: `kind` is "ident", "int", "string", "symbol" or "eof", `text`
+    its source text and `offset` the index of its first character."""
 
-    kind: str
-    text: str
-    offset: int
+    __slots__ = ()
 
     def describe(self) -> str:
         if self.kind == "eof":
@@ -154,24 +153,30 @@ class TokenStream:
         return self.source[first.offset : last.offset + len(last.text)]
 
 
-def capture_balanced(ts: TokenStream, stops: frozenset[str], what: str) -> list[Token]:
-    """Collect tokens until a stop symbol at bracket depth zero.
+_CLOSER_OF = {"(": ")", "[": "]", "{": "}"}
 
-    The stop symbol is not consumed. Raises on end of input and on a
-    closing bracket that has no opener in the captured run.
+
+def capture_balanced(ts: TokenStream, stops: frozenset[str], what: str) -> list[Token]:
+    """Collect tokens until a stop symbol outside every bracket.
+
+    The stop symbol is not consumed. Raises on end of input, on a closing
+    bracket that has no opener in the captured run, and on one that
+    closes a bracket of another kind.
     """
     tokens, start = ts.tokens, ts.pos
-    depth = 0
+    expected: list[str] = []  # the closer of each open bracket, innermost last
     for i in range(start, len(tokens)):
         tok = tokens[i]
-        if depth == 0 and tok.text in stops:
+        text = tok.text
+        if not expected and text in stops:
             break
-        if tok.text in ("(", "[", "{"):
-            depth += 1
-        elif tok.text in (")", "]", "}"):
-            depth -= 1
-            if depth < 0:
-                raise ts.error(f"unbalanced '{tok.text}' in {what}", tok)
+        if text in _CLOSER_OF:
+            expected.append(_CLOSER_OF[text])
+        elif text in (")", "]", "}"):
+            if not expected:
+                raise ts.error(f"unbalanced '{text}' in {what}", tok)
+            if expected.pop() != text:
+                raise ts.error(f"mismatched '{text}' in {what}", tok)
         elif tok.kind == "eof":
             raise ts.error(f"unterminated {what}", tok)
     if i == start:

@@ -6,40 +6,28 @@ along, but only names, abstractness, and inheritance matter to analysis.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable, Collection, Sequence
 from graphlib import CycleError, TopologicalSorter
-from typing import NamedTuple
 
 from .lexer import ParseError, Token, TokenStream, capture_balanced
 
 
-class Feature(NamedTuple):
-    kind: str  # "attr" | "ref"
-    name: str
-    type_name: str
-    multiplicity: str | None = None
+# kind: "attr" | "ref"; name, type_name: str; multiplicity: str | None, the text between the brackets
+Feature = namedtuple("Feature", "kind name type_name multiplicity", defaults=(None,))
+
+# name: str; abstract: bool; supertypes: tuple[str, ...]; features: tuple[Feature, ...]
+Concept = namedtuple("Concept", "name abstract supertypes features", defaults=(False, (), ()))
 
 
-class Concept(NamedTuple):
-    name: str
-    abstract: bool = False
-    supertypes: tuple[str, ...] = ()
-    features: tuple[Feature, ...] = ()
+class Metamodel(namedtuple("Metamodel", "name concepts", defaults=((),))):
+    """A metamodel: `name` (str) and `concepts` (tuple[Concept, ...]) in declaration order."""
 
-
-class Metamodel(NamedTuple):
-    name: str
-    concepts: tuple[Concept, ...] = ()
+    __slots__ = ()
 
     @property
     def concept_names(self) -> frozenset[str]:
         return frozenset(c.name for c in self.concepts)
-
-    def concept(self, name: str) -> Concept:
-        for c in self.concepts:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 def parse_metamodel(source_text: str, *, path: str | None = None) -> Metamodel:

@@ -6,8 +6,8 @@ always ordered by metamodel declaration order.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from typing import NamedTuple
 
 from .analyzer import AnalysisReport, Lint, Mode
 from .lexer import one_line
@@ -21,14 +21,11 @@ _MODE_LABELS = {Mode.LAZILY: "lazily", Mode.CONDITIONALLY: "cond.", Mode.ALWAYS:
 _MODE_ORDER = tuple(Mode)
 
 
-class _TableFields(NamedTuple):
-    title: str
-    header: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...] = ()
+class Table(namedtuple("Table", "title header rows", defaults=((),))):
+    """A titled grid whose rows all have the header's arity, checked when built.
 
-
-class Table(_TableFields):
-    """A titled grid whose rows all have the header's arity, checked when built."""
+    `title` is a str, `header` a tuple[str, ...] and `rows` a tuple of such tuples.
+    """
 
     __slots__ = ()
 
@@ -43,11 +40,8 @@ class Table(_TableFields):
         return cls(*iterable)
 
 
-class ProfileGroup(NamedTuple):
-    copy_modes: frozenset[Mode]
-    mutation_modes: frozenset[Mode]
-    concepts: tuple[str, ...]
-    rendered_label: str
+# copy_modes, mutation_modes: frozenset[Mode]; concepts: tuple[str, ...]; rendered_label: str
+ProfileGroup = namedtuple("ProfileGroup", "copy_modes mutation_modes concepts rendered_label")
 
 
 def mode_set_label(modes: frozenset[Mode]) -> str:

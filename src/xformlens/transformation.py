@@ -7,72 +7,51 @@ analysis only needs the qualified concept references inside them.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .lexer import ParseError, Token, TokenStream, capture_balanced
 
 
-class ConceptRef(NamedTuple):
-    """A qualified reference METAMODEL!CONCEPT with its source position."""
+class ConceptRef(namedtuple("ConceptRef", "metamodel name line column")):
+    """A qualified reference METAMODEL!CONCEPT (two str) at its 1-based
+    source `line` and `column` (int)."""
 
-    metamodel: str
-    name: str
-    line: int
-    column: int
+    __slots__ = ()
 
     @property
     def qualified(self) -> str:
         return f"{self.metamodel}!{self.name}"
 
 
-class Expression(NamedTuple):
-    """An opaque expression: raw source text plus extracted concept refs."""
+class Expression(namedtuple("Expression", "raw refs", defaults=((),))):
+    """An opaque expression: `raw` source text (str) plus the concept refs
+    extracted from it (tuple[ConceptRef, ...])."""
 
-    raw: str
-    refs: tuple[ConceptRef, ...] = ()
-
-
-class Binding(NamedTuple):
-    feature: str
-    value: Expression
+    __slots__ = ()
 
 
-class TargetPattern(NamedTuple):
-    var: str
-    concept: ConceptRef
-    bindings: tuple[Binding, ...] = ()
+# feature: str; value: Expression
+Binding = namedtuple("Binding", "feature value")
 
+# var: str; concept: ConceptRef; bindings: tuple[Binding, ...]
+TargetPattern = namedtuple("TargetPattern", "var concept bindings", defaults=((),))
 
-class Rule(NamedTuple):
-    name: str
-    source_var: str
-    source_concept: ConceptRef
-    targets: tuple[TargetPattern, ...]
-    guard: Expression | None = None
-    lazy: bool = False
-    parent_rule: str | None = None
+# name, source_var: str; source_concept: ConceptRef; targets: tuple[TargetPattern, ...];
+# guard: Expression | None; lazy: bool; parent_rule: str | None
+Rule = namedtuple(
+    "Rule", "name source_var source_concept targets guard lazy parent_rule", defaults=(None, False, None)
+)
 
+# name: str; result_type, body: Expression; context: ConceptRef | None
+Helper = namedtuple("Helper", "name result_type body context", defaults=(None,))
 
-class Helper(NamedTuple):
-    name: str
-    result_type: Expression
-    body: Expression
-    context: ConceptRef | None = None
-
-
-class Transformation(NamedTuple):
-    name: str
-    source_metamodel: str
-    target_metamodel: str
-    helpers: tuple[Helper, ...] = ()
-    rules: tuple[Rule, ...] = ()
-    source_path: str | None = None
-
-    def rule(self, name: str) -> Rule:
-        for r in self.rules:
-            if r.name == name:
-                return r
-        raise KeyError(name)
+# name, source_metamodel, target_metamodel: str; helpers: tuple[Helper, ...];
+# rules: tuple[Rule, ...]; source_path: str | None
+Transformation = namedtuple(
+    "Transformation",
+    "name source_metamodel target_metamodel helpers rules source_path",
+    defaults=((), (), None),
+)
 
 
 def parse_transformation(

@@ -40,6 +40,11 @@ def fixture_corpus():
     return mm, tuple(transformations)
 
 
+def named(records, name):
+    """The first of `records` (concepts, rules, ...) whose `name` is `name`."""
+    return next(r for r in records if r.name == name)
+
+
 def subprocess_env() -> dict[str, str]:
     """The environment with this checkout's `src` first on PYTHONPATH and a buffered stdout.
 

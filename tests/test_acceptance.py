@@ -40,6 +40,7 @@ from helpers import (
     enumerate_best_plan_length,
     fixture_corpus,
     naive_propagate,
+    named,
     random_metamodel_text,
     random_transformation_text,
     wrap_rules,
@@ -169,7 +170,7 @@ def test_criterion_3_reference_snippets_classify():
     for snippet, name, extra, action, mode in expectations:
         body = extra + "\n\n" + snippet if extra else snippet
         t = parse_transformation(wrap_rules(body))
-        c = classify_rule(t.rule(name))
+        c = classify_rule(named(t.rules, name))
         assert (c.action, c.mode) == (action, mode), name
 
 

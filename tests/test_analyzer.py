@@ -7,7 +7,6 @@ from xformlens import (
     ConceptProfile,
     MetamodelMismatchError,
     Mode,
-    RuleClassification,
     analyze,
     classify_rule,
     detect_fixed_point,
@@ -22,13 +21,14 @@ from helpers import (
     RULE_COPY_LAZY,
     RULE_MUTATION_GUARDED,
     naive_profiles,
+    named,
     wrap_rules,
 )
 
 
 def _rule(body, name, extra=""):
     text = wrap_rules(extra + body if not extra else extra + "\n\n" + body)
-    return parse_transformation(text).rule(name)
+    return named(parse_transformation(text).rules, name)
 
 
 def test_classify_plain_copy():
@@ -36,12 +36,6 @@ def test_classify_plain_copy():
     assert c.action == "copy"
     assert c.mode is Mode.ALWAYS
     assert c.targets == ("DataType",)
-
-
-def test_record_fields_state_each_fact_once():
-    # The concept is the key of its profile, and a rule's source is the rule's own.
-    assert ConceptProfile._fields == ("copy_modes", "mutation_modes", "produced_as")
-    assert RuleClassification._fields == ("action", "mode", "targets")
 
 
 def test_untouched_concepts_share_the_empty_profile(pivot):

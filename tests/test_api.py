@@ -8,8 +8,48 @@ import sys
 import pytest
 
 import xformlens
+from xformlens.lexer import Token
 
 from helpers import subprocess_env
+
+# Every exported record, plus Token, with its fields and defaults. A
+# profile holds no concept and a classification no source: the concept is
+# its profile's key, and a rule's source concept is the rule's own.
+RECORD_SHAPES = {
+    "AnalysisReport": (
+        ("transformation", "source_mm", "target_mm", "profiles", "target_concepts",
+         "ignored_in", "ignored_out", "refined_domain", "refined_codomain", "diagnostics"),
+        {"diagnostics": ()},
+    ),
+    "Binding": (("feature", "value"), {}),
+    "ChainPlan": (("initial_set", "steps", "goal_met"), {}),
+    "ChainStep": (("transformation", "input_set", "output_set", "valid", "warnings"), {"warnings": ()}),
+    "Concept": (("name", "abstract", "supertypes", "features"), {"abstract": False, "supertypes": (), "features": ()}),
+    "ConceptProfile": (
+        ("copy_modes", "mutation_modes", "produced_as"),
+        {"copy_modes": frozenset(), "mutation_modes": frozenset(), "produced_as": frozenset()},
+    ),
+    "ConceptRef": (("metamodel", "name", "line", "column"), {}),
+    "Expression": (("raw", "refs"), {"refs": ()}),
+    "Feature": (("kind", "name", "type_name", "multiplicity"), {"multiplicity": None}),
+    "FixedPointVerdict": (("flag", "explanation", "focal"), {"focal": ()}),
+    "Helper": (("name", "result_type", "body", "context"), {"context": None}),
+    "Lint": (("kind", "subject", "message", "file", "line", "column"), {"file": None, "line": None, "column": None}),
+    "Metamodel": (("name", "concepts"), {"concepts": ()}),
+    "ProfileGroup": (("copy_modes", "mutation_modes", "concepts", "rendered_label"), {}),
+    "Rule": (
+        ("name", "source_var", "source_concept", "targets", "guard", "lazy", "parent_rule"),
+        {"guard": None, "lazy": False, "parent_rule": None},
+    ),
+    "RuleClassification": (("action", "mode", "targets"), {}),
+    "Table": (("title", "header", "rows"), {"rows": ()}),
+    "TargetPattern": (("var", "concept", "bindings"), {"bindings": ()}),
+    "Transformation": (
+        ("name", "source_metamodel", "target_metamodel", "helpers", "rules", "source_path"),
+        {"helpers": (), "rules": (), "source_path": None},
+    ),
+    "Token": (("kind", "text", "offset"), {}),
+}
 
 
 @pytest.mark.parametrize("name", xformlens.__all__)
@@ -40,3 +80,15 @@ def test_a_submodule_imports_from_the_package():
 def test_an_unknown_name_raises_attribute_error_naming_the_package():
     with pytest.raises(AttributeError, match="module 'xformlens' has no attribute 'no_such_name'"):
         xformlens.no_such_name
+
+
+@pytest.mark.parametrize("name", RECORD_SHAPES)
+def test_every_record_keeps_its_shape_and_has_no_instance_dict(name):
+    record = Token if name == "Token" else getattr(xformlens, name)
+    fields, defaults = RECORD_SHAPES[name]
+    assert issubclass(record, tuple)
+    assert record._fields == fields
+    assert record._field_defaults == defaults
+    # Built as tokenize builds a Token, since Table's constructor checks its rows.
+    instance = tuple.__new__(record, (None,) * len(fields))
+    assert not hasattr(instance, "__dict__")  # a large file has tens of thousands of tokens

@@ -164,6 +164,18 @@ def test_analyze_parse_error_reports_position(cli, corpus_args, tmp_path):
     assert "bad.tfm:" in result.err
 
 
+def test_lint_rejects_crossed_brackets_with_one_positioned_error(cli, tmp_path):
+    mm = tmp_path / "m.cmm"
+    mm.write_text("metamodel M { class Circle {} class Square {} }", encoding="utf-8")
+    bad = tmp_path / "crossed.tfm"
+    rule = "rule C { from s : M!Circle (s.x[ ) and M!Square.f( ]) to t : M!Circle() }"
+    bad.write_text(wrap_rules(rule, source_mm="M"), encoding="utf-8")
+    result = cli(["lint", str(mm), str(bad)])
+    assert result.exit_code == 1
+    assert result.out == ""
+    assert result.err.splitlines() == [f"error: {bad}:4:34: mismatched ')' in guard expression"]
+
+
 @pytest.mark.parametrize(
     "char, shown",
     [pytest.param(c, f"U+{ord(c):04X}", id=c) for c in ["\u200b", "\u00a0", "\f", "\0", "\u2028"]]
@@ -461,13 +473,13 @@ def test_chain_plan_accepts_options_among_the_paths(cli, monkeypatch, argv, code
     assert result.out.splitlines()[: len(lines)] == lines
 
 
-def test_cli_import_loads_no_dataclasses_inspect_or_click():
+def test_cli_import_loads_no_costly_module():
     # Start-up cost: each of these modules adds milliseconds to every call.
     # A subprocess, because pytest itself has already imported dataclasses,
     # and `-S`, because `site` may load pathlib itself. The package reads
-    # files with `open`, not pathlib, and the renderers import json and html
-    # only when they run.
-    banned = "{'dataclasses', 'inspect', 'click', 'pathlib', 'fnmatch', 'urllib', 'json', 'html'}"
+    # files with `open`, not pathlib, the renderers import json and html
+    # only when they run, and the records are `collections.namedtuple`s.
+    banned = "{'dataclasses', 'inspect', 'click', 'pathlib', 'fnmatch', 'urllib', 'json', 'html', 'typing'}"
     probe = f"import sys, xformlens.cli; print(*sorted({banned} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=subprocess_env(), timeout=60
@@ -489,14 +501,20 @@ _BASE_MODULES = ["xformlens", "xformlens.analyzer", "xformlens.cli", "xformlens.
 )
 def test_each_command_loads_only_the_layers_it_runs(corpus_args, command, layer):
     # Under -S, in a fresh interpreter: chain commands never load report,
-    # and analyze and lint never load chain.
-    probe = f"import sys\nfrom xformlens.cli import main\ntry:\n    main(sys.argv[1:])\nfinally:\n    {_LOADED}"
+    # and analyze and lint never load chain. `report` and `chain` load only
+    # inside a command, so only a command run shows that they load no `typing`.
+    probe = (
+        f"import sys\nfrom xformlens.cli import main\ntry:\n    main(sys.argv[1:])\nfinally:\n    {_LOADED}\n"
+        "    print('typing' in sys.modules, file=sys.stderr)"
+    )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe, *command, *corpus_args],
         capture_output=True, text=True, env=subprocess_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.split() == sorted([*_BASE_MODULES, f"xformlens.{layer}"])
+    loaded, typing_loaded = proc.stderr.splitlines()
+    assert loaded.split() == sorted([*_BASE_MODULES, f"xformlens.{layer}"])
+    assert typing_loaded == "False"
 
 
 def test_importing_the_package_loads_no_submodule():

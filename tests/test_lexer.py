@@ -6,6 +6,8 @@ import pytest
 from xformlens import ParseError, parse_metamodel, parse_transformation
 from xformlens.lexer import TokenStream, tokenize
 
+from helpers import named
+
 
 def stream(source):
     ts = TokenStream(source)
@@ -84,7 +86,7 @@ def test_keyword_spellings_are_names_in_metamodels():
     )
     assert mm.name == "metamodel"
     assert [c.name for c in mm.concepts] == ["class", "abstract"]
-    abstract = mm.concept("abstract")
+    abstract = named(mm.concepts, "abstract")
     assert abstract.abstract
     assert abstract.supertypes == ("class",)
     feature = abstract.features[0]
@@ -103,7 +105,7 @@ def test_keyword_spellings_are_names_in_transformations():
     )
     assert t.name == "rule"
     assert [r.name for r in t.rules] == ["rule", "to"]
-    lazy = t.rule("to")
+    lazy = named(t.rules, "to")
     assert lazy.lazy
     assert lazy.parent_rule == "rule"
     assert lazy.source_var == "from"
@@ -134,16 +136,32 @@ _HEADER = "module t;\ncreate OUT : M from IN : M;\n"
 
 
 # Each way `capture_balanced` fails, in both parsers: end of input, a
-# closing bracket with no opener, and an empty run before the stop. Then
-# text after the end, in both parsers, and a metamodel member that is
-# neither a feature nor the closing brace.
+# closing bracket with no opener, a closing bracket of another kind than
+# the innermost open one (in each kind of captured run), and an empty run
+# before the stop. Then text after the end, in both parsers, and a
+# metamodel member that is neither a feature nor the closing brace.
 @pytest.mark.parametrize(
     "parse, source, message",
     [
         (
             parse_transformation,
+            _HEADER + "rule r { from s : M!A (s.x = (1 to t : M!A()",
+            "p:3:45: unterminated guard expression",
+        ),
+        (
+            parse_transformation,
             _HEADER + "rule r { from s : M!A (s.x = (1 to t : M!A() }",
-            "p:3:47: unterminated guard expression",
+            "p:3:46: mismatched '}' in guard expression",
+        ),
+        (
+            parse_transformation,
+            _HEADER + "rule C { from s : M!Circle (s.x[ ) and M!Square.f( ]) to t : M!Circle() }",
+            "p:3:34: mismatched ')' in guard expression",
+        ),
+        (
+            parse_transformation,
+            _HEADER + "rule r { from s : M!A to t : M!A(x <- s.f[1)) }",
+            "p:3:44: mismatched ')' in binding expression",
         ),
         (
             parse_transformation,
@@ -157,13 +175,23 @@ _HEADER = "module t;\ncreate OUT : M from IN : M;\n"
         ),
         (
             parse_transformation,
+            _HEADER + "helper def : h : Boolean = (1",
+            "p:3:30: unterminated helper body",
+        ),
+        (
+            parse_transformation,
             _HEADER + "helper def : h : Boolean = (1]",
-            "p:3:31: unterminated helper body",
+            "p:3:30: mismatched ']' in helper body",
         ),
         (
             parse_metamodel,
             "metamodel M { class A { attr x : Int [0..; } }",
             "p:1:44: unbalanced '}' in multiplicity",
+        ),
+        (
+            parse_metamodel,
+            "metamodel M { class A { attr x : Int [(0..]; } }",
+            "p:1:43: mismatched ']' in multiplicity",
         ),
         (
             parse_metamodel,

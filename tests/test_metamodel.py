@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xformlens import (
-    Metamodel,
     ParseError,
     concrete_concepts,
     parse_metamodel,
     pretty_print,
 )
+
+from helpers import named
 
 PIVOT_CONCRETE = (
     "EnumLiteral",
@@ -42,14 +43,14 @@ def test_pivot_parses_with_expected_concrete_concepts(pivot):
 
 
 def test_pivot_abstract_concepts_are_flagged(pivot):
-    statement = pivot.concept("Statement")
+    statement = named(pivot.concepts, "Statement")
     assert statement.abstract
-    assert pivot.concept("Expression").supertypes == ("Statement",)
-    assert not pivot.concept("Variable").abstract
+    assert named(pivot.concepts, "Expression").supertypes == ("Statement",)
+    assert not named(pivot.concepts, "Variable").abstract
 
 
 def test_pivot_features_are_captured(pivot):
-    variable = pivot.concept("Variable")
+    variable = named(pivot.concepts, "Variable")
     by_name = {f.name: f for f in variable.features}
     assert by_name["name"].kind == "attr"
     assert by_name["name"].type_name == "String"
@@ -60,12 +61,7 @@ def test_pivot_features_are_captured(pivot):
 
 
 def test_forward_supertype_references_resolve(pivot):
-    assert pivot.concept("EnumLiteral").supertypes == ("Variable",)
-
-
-def test_concept_lookup_raises_on_unknown(pivot):
-    with pytest.raises(KeyError):
-        pivot.concept("NoSuchThing")
+    assert named(pivot.concepts, "EnumLiteral").supertypes == ("Variable",)
 
 
 def test_duplicate_concept_name_is_rejected():
@@ -158,7 +154,7 @@ def test_deep_child_first_extends_chain_parses():
     classes = " ".join(f"class C{i} extends C{i + 1} {{}}" for i in range(depth - 1))
     mm = parse_metamodel(f"metamodel M {{ {classes} class C{depth - 1} {{}} }}")
     assert len(mm.concepts) == depth
-    assert mm.concept("C0").supertypes == ("C1",)
+    assert named(mm.concepts, "C0").supertypes == ("C1",)
 
 
 def test_a_metamodel_records_no_path():
@@ -166,7 +162,6 @@ def test_a_metamodel_records_no_path():
     a, b = parse_metamodel(text, path="a.cmm"), parse_metamodel(text, path="b.cmm")
     assert a == b and hash(a) == hash(b)
     assert sorted([a, parse_metamodel(text)]) == [a, a]
-    assert "source_path" not in Metamodel._fields
 
 
 def test_parse_error_carries_position():

@@ -11,6 +11,7 @@ from helpers import (
     RULE_COPY_GUARDED,
     RULE_COPY_LAZY,
     RULE_MUTATION_GUARDED,
+    named,
     wrap_rules,
 )
 
@@ -31,7 +32,7 @@ def test_header_is_parsed():
 
 def test_plain_copy_rule_shape():
     t = parse_transformation(wrap_rules(RULE_COPY_ALWAYS))
-    rule = t.rule("DataType")
+    rule = named(t.rules, "DataType")
     assert rule.source_var == "s"
     assert rule.source_concept.qualified == "CPPivot!DataType"
     assert rule.guard is None
@@ -47,7 +48,7 @@ def test_plain_copy_rule_shape():
 
 def test_guarded_rule_captures_guard_text_and_refs():
     t = parse_transformation(wrap_rules(RULE_COPY_GUARDED))
-    rule = t.rule("SetDomain")
+    rule = named(t.rules, "SetDomain")
     assert rule.guard is not None
     assert rule.guard.raw == "not s.parent.oclIsTypeOf(CPPivot!IndexVariable)"
     assert {r.qualified for r in rule.guard.refs} == {"CPPivot!IndexVariable"}
@@ -55,10 +56,10 @@ def test_guarded_rule_captures_guard_text_and_refs():
 
 def test_lazy_rule_with_parent():
     t = parse_transformation(wrap_rules(LAZY_PARENT_STUB + "\n\n" + RULE_COPY_LAZY))
-    rule = t.rule("lazyBoolVal")
+    rule = named(t.rules, "lazyBoolVal")
     assert rule.lazy
     assert rule.parent_rule == "lazyExpression"
-    assert t.rule("lazyExpression").targets[0].bindings == ()
+    assert named(t.rules, "lazyExpression").targets[0].bindings == ()
 
 
 def test_multi_target_rule_orders_targets():
@@ -77,7 +78,7 @@ def test_multi_target_rule_orders_targets():
         "}"
     )
     t = parse_transformation(wrap_rules(body))
-    rule = t.rule("Split")
+    rule = named(t.rules, "Split")
     assert [tp.concept.name for tp in rule.targets] == ["IntervalDomain", "Variable"]
     assert [b.feature for b in rule.targets[1].bindings] == ["name", "domain"]
 
@@ -148,7 +149,7 @@ def test_target_qualifiers_are_not_parse_checked():
         "}"
     )
     t = parse_transformation(wrap_rules(body))
-    assert t.rule("Loose").targets[0].concept.qualified == "Elsewhere!Thing"
+    assert named(t.rules, "Loose").targets[0].concept.qualified == "Elsewhere!Thing"
 
 
 def test_expression_refs_require_qualifier_shape():
@@ -162,14 +163,8 @@ def test_expression_refs_require_qualifier_shape():
         "\t\tt : CPPivot!Variable()\n"
         "}"
     )
-    guard = parse_transformation(wrap_rules(body)).rule("Probe").guard
+    guard = named(parse_transformation(wrap_rules(body)).rules, "Probe").guard
     assert {r.qualified for r in guard.refs} == {"CPPivot!Class", "Other!Ghost"}
-
-
-def test_rule_lookup_raises_on_unknown():
-    t = parse_transformation(wrap_rules(RULE_COPY_ALWAYS))
-    with pytest.raises(KeyError):
-        t.rule("Missing")
 
 
 def test_corpus_transformation_shapes(transformations):

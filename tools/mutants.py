@@ -104,6 +104,14 @@ MUTANTS = [
     (f"{PKG}/lexer.py", """found {tok.describe()}")\n        self.pos += 1\n        return tok\n\n    def expect_ident""",
      """found {tok.describe()}")\n        return tok\n\n    def expect_ident""",
      "`expect` does not step past the token it matched"),
+    # Killed by test_lexer.py's test_balanced_capture_errors.
+    (f"{PKG}/lexer.py", "if expected.pop() != text:", "if expected.pop() == text:",
+     "a closer of the right kind is called mismatched, and one of the wrong kind is taken"),
+    # Records. Killed by test_api.py's test_every_record_keeps_its_shape_and_has_no_instance_dict.
+    (f"{PKG}/lexer.py", "    __slots__ = ()\n\n    def describe", "    def describe",
+     "every Token carries an instance dict"),
+    (f"{PKG}/metamodel.py", '"kind name type_name multiplicity", defaults=(None,))', '"kind name type_name multiplicity")',
+     "a Feature's multiplicity loses its default"),
     # Output. Killed by test_lint_colors_kinds_when_enabled, test_properties.py's
     # test_report_to_json_writes_what_json_dumps_writes and test_a_short_write_is_followed_by_the_rest.
     (f"{PKG}/cli.py", 'os.environ.get("XFORMLENS_COLOR") == "1"', 'os.environ.get("XFORMLENS_COLOR") != "1"',
