@@ -1,15 +1,16 @@
 """Shared tokenizer and token cursor for the two analysis DSLs.
 
 The metamodel (.cmm) and transformation (.tfm) dialects share the
-lexical shape given by `_TOKEN`. OCL-style expressions are not lexed
-into a grammar of their own; parsers capture them as balanced token runs.
+lexical shape given by `_TOKEN`; a source lexes into flat lists of token
+texts and start offsets. OCL-style expressions are not lexed into a
+grammar of their own; parsers capture them as balanced token runs.
 """
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
-from collections import namedtuple
+from bisect import bisect_left, bisect_right
 from functools import cached_property
+from itertools import accumulate, compress, islice
 
 
 class ParseError(Exception):
@@ -33,153 +34,156 @@ def one_line(text: str) -> str:
     return text if text.isprintable() else text.translate(_LINE_BREAKS)  # no line break is printable
 
 
-class Token(namedtuple("Token", "kind text offset")):
-    """One token: `kind` is "ident", "int", "string", "symbol" or "eof", `text`
-    its source text and `offset` the index of its first character."""
-
-    __slots__ = ()
-
-    def describe(self) -> str:
-        if self.kind == "eof":
-            return "end of input"
-        if self.text.isprintable():
-            return f"'{self.text}'"
-        # An invisible or line-breaking character is named by code point: the error stays one line.
-        shown = "".join(ch if ch.isprintable() else f"U+{ord(ch):04X}" for ch in self.text)
-        return shown if self.kind == "symbol" else f"'{shown}'"
+# One token per match, tried in this order: a comment, an identifier, an
+# integer, a string, a lone quote (an unterminated string), a two-character
+# symbol, and any other character but a blank. A comment or string ends at
+# CR or LF. `--` is tried before `-`, so `-->` is a comment, while `<--` is
+# `<-` followed by `-`.
+_TOKEN = re.compile(r"(--[^\r\n]*|[^\W\d]\w*|\d+|'[^'\r\n]*'|'|<-|->|\.\.|[^ \t\r\n])")
+_DASH_PAIR = re.compile("-(?=-)")  # every `--`, overlapping ones too
+_LINE_END = re.compile(r"(\r\n?|\n)")
 
 
-# Blanks and comments are skipped before every token; the numbered group
-# that matches gives the token's kind in `_KINDS`. A quote that does not
-# close on its own line matches `unterminated`. `--` is tried before `-`,
-# so `-->` is a comment, while `<--` is `<-` followed by `-`.
-_TOKEN = re.compile(
-    r"(?:[ \t\r\n]+|--[^\n]*)*"
-    r"(?:([^\W\d]\w*)"
-    r"|(\d+)"
-    r"|('[^'\n]*')"
-    r"|(')"
-    r"|(<-|->|\.\.|.)"
-    r"|(\Z))"
-)
-_KINDS = (None, "ident", "int", "string", "unterminated", "symbol", "eof")
+class Tokens(list):
+    """Token texts in order, the last "" for end of input; `starts[i]` is the offset of token i."""
+
+    __slots__ = ("starts",)
 
 
-def tokenize(source: str, path: str | None = None) -> list[Token]:
-    tokens: list[Token] = []
-    append, new = tokens.append, tuple.__new__
-    # Every position matches (`.` takes all but the newlines that the blank
-    # prefix eats), so the matches tile the source; stop at the first `eof`.
-    for m in _TOKEN.finditer(source):
-        group = m.lastindex
-        kind, start = _KINDS[group], m.start(group)
-        if kind == "unterminated":
-            line = source.count("\n", 0, start) + 1
-            column = start - source.rfind("\n", 0, start)
-            raise ParseError("unterminated string literal", line, column, path)
-        append(new(Token, (kind, m[group], start)))
-        if kind == "eof":
-            return tokens
+def tokenize(source: str, path: str | None = None) -> Tokens:
+    # Only blanks lie between two matches, so the split's odd parts are the token texts, and the
+    # running length of the parts at each even part is where the next token, or end of input, starts.
+    parts = _TOKEN.split(source)
+    texts = parts[1::2]
+    texts.append("")
+    starts = list(islice(accumulate(map(len, parts)), 0, None, 2))
+    if "'" in texts:
+        raise ParseError("unterminated string literal", *position(line_starts(source), starts[texts.index("'")]), path)
+    if "--" in source:  # a token that starts at a `--` is a comment: drop it from both lists
+        keep = [True] * len(starts)
+        for m in _DASH_PAIR.finditer(source):
+            k = bisect_left(starts, m.start())
+            if starts[k] == m.start():
+                keep[k] = False
+        texts, starts = compress(texts, keep), list(compress(starts, keep))
+    tokens = Tokens(texts)
+    tokens.starts = starts
+    return tokens
+
+
+def line_starts(source: str) -> list[int]:
+    """The offset of each line's first character: the split alternates lines and
+    line ends (CR LF, CR or LF), and a line starts after each end."""
+    return [0, *islice(accumulate(map(len, _LINE_END.split(source))), 1, None, 2)]
+
+
+def position(starts_of_lines: list[int], offset: int) -> tuple[int, int]:
+    """The 1-based line and column (in code points, a tab as one) of `offset`."""
+    line = bisect_right(starts_of_lines, offset)
+    return line, offset - starts_of_lines[line - 1] + 1
+
+
+def is_ident(text: str) -> bool:
+    """True for a token that starts with a letter, `_` or a non-decimal numeric character such as `²`."""
+    head = text[:1]
+    return head.isalpha() or head == "_" or (head.isnumeric() and not head.isdecimal())
+
+
+def describe(text: str) -> str:
+    """A token's text as an error names it: an invisible or line-breaking
+    character by its code point, so that the error stays one line."""
+    if not text:
+        return "end of input"
+    shown = "".join(ch if ch.isprintable() else f"U+{ord(ch):04X}" for ch in text)
+    return f"'{shown}'" if text.isprintable() or text[0] == "'" else shown
 
 
 class TokenStream:
-    """Cursor over a token list that matches keywords and punctuation by text.
+    """Cursor over a source's token texts that matches keywords and punctuation by text.
 
-    Tokens of different kinds never share a text, so `at("class")` only
-    matches an identifier and `at("{")` only a symbol. Keywords are
+    Tokens of different kinds never share a text, so `accept("class")` only
+    matches an identifier and `accept("{")` only a symbol. Keywords are
     contextual: their spellings stay usable as plain names.
     """
 
     def __init__(self, source: str, path: str | None = None):
         self.source = source
         self.path = path
-        self.tokens = tokenize(source, path)
+        self.texts = tokenize(source, path)
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def at(self, text: str) -> bool:
-        return self.tokens[self.pos].text == text
-
-    # No keyword or symbol is spelled "", the text of `eof`, so a token that
-    # these three match is never the last one and `pos` can step past it.
+    # No keyword or symbol is spelled "", the text of end of input, so a
+    # token that these three match is never the last one and `pos` can step past it.
     def accept(self, text: str) -> bool:
-        if self.tokens[self.pos].text == text:
+        if self.texts[self.pos] == text:
             self.pos += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.text != text:
-            raise self.error(f"expected '{text}', found {tok.describe()}")
+    def expect(self, text: str) -> None:
+        if self.texts[self.pos] != text:
+            raise self.error(f"expected '{text}', found {describe(self.texts[self.pos])}")
         self.pos += 1
-        return tok
 
-    def expect_ident(self, what: str = "identifier") -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "ident":
-            raise self.error(f"expected {what}, found {tok.describe()}")
-        self.pos += 1
-        return tok
+    def expect_ident(self, what: str = "identifier") -> int:
+        """Step past an identifier and return its index."""
+        i = self.pos
+        text = self.texts[i]
+        if not (text[:1].isalpha() or is_ident(text)):  # most identifiers start with a letter: skip the call
+            raise self.error(f"expected {what}, found {describe(text)}")
+        self.pos = i + 1
+        return i
 
     def expect_eof(self) -> None:
-        if self.peek().kind != "eof":
-            raise self.error(f"expected end of input, found {self.peek().describe()}")
+        if self.texts[self.pos]:
+            raise self.error(f"expected end of input, found {describe(self.texts[self.pos])}")
 
-    def error(self, message: str, token: Token | None = None) -> ParseError:
-        tok = token if token is not None else self.peek()
-        return ParseError(message, *self.position(tok), self.path)
+    def error(self, message: str, index: int | None = None) -> ParseError:
+        return ParseError(message, *self.position(self.pos if index is None else index), self.path)
 
     @cached_property
-    def _line_breaks(self) -> list[int]:
-        # The offset of every newline, after -1 for the start of the text.
-        return [-1, *[m.start() for m in re.finditer("\n", self.source)]]
+    def _line_starts(self) -> list[int]:
+        return line_starts(self.source)
 
-    def position(self, tok: Token) -> tuple[int, int]:
-        """The 1-based line and column (in code points, a tab as one) of `tok`."""
-        breaks = self._line_breaks
-        line = bisect_left(breaks, tok.offset)
-        return line, tok.offset - breaks[line - 1]
+    def position(self, index: int) -> tuple[int, int]:
+        """The 1-based line and column of token `index`."""
+        return position(self._line_starts, self.texts.starts[index])
 
-    def slice(self, first: Token, last: Token) -> str:
-        return self.source[first.offset : last.offset + len(last.text)]
+    def slice(self, start: int, stop: int) -> str:
+        """The source text from token `start` to the end of token `stop - 1`."""
+        return self.source[self.texts.starts[start] : self.texts.starts[stop - 1] + len(self.texts[stop - 1])]
 
 
 _CLOSER_OF = {"(": ")", "[": "]", "{": "}"}
+_BOUNDS = {*"()[]{},;=", ""}  # every bracket, every stop symbol a parser passes, and end of input
 
 
-def capture_balanced(ts: TokenStream, stops: frozenset[str], what: str) -> list[Token]:
-    """Collect tokens until a stop symbol outside every bracket.
+def capture_balanced(ts: TokenStream, stops: tuple[str, ...], what: str) -> tuple[int, int]:
+    """Step over tokens until a stop symbol outside every bracket, and
+    return the index range of the run.
 
     The stop symbol is not consumed. Raises on end of input, on a closing
     bracket that has no opener in the captured run, and on one that
     closes a bracket of another kind.
     """
-    tokens, start = ts.tokens, ts.pos
+    texts, start = ts.texts, ts.pos
     expected: list[str] = []  # the closer of each open bracket, innermost last
-    for i in range(start, len(tokens)):
-        tok = tokens[i]
-        text = tok.text
+    for i in range(start, len(texts)):
+        text = texts[i]
+        if text not in _BOUNDS:  # only a bracket, a stop or end of input can end the run or be wrong
+            continue
         if not expected and text in stops:
             break
         if text in _CLOSER_OF:
             expected.append(_CLOSER_OF[text])
         elif text in (")", "]", "}"):
             if not expected:
-                raise ts.error(f"unbalanced '{text}' in {what}", tok)
+                raise ts.error(f"unbalanced '{text}' in {what}", i)
             if expected.pop() != text:
-                raise ts.error(f"mismatched '{text}' in {what}", tok)
-        elif tok.kind == "eof":
-            raise ts.error(f"unterminated {what}", tok)
+                raise ts.error(f"mismatched '{text}' in {what}", i)
+        elif not text:
+            raise ts.error(f"unterminated {what}", i)
     if i == start:
         raise ts.error(f"expected {what}")
     ts.pos = i
-    return tokens[start:i]
+    return start, i

@@ -10,7 +10,7 @@ from collections import namedtuple
 from collections.abc import Callable, Collection, Sequence
 from graphlib import CycleError, TopologicalSorter
 
-from .lexer import ParseError, Token, TokenStream, capture_balanced
+from .lexer import TokenStream, capture_balanced, describe
 
 
 # kind: "attr" | "ref"; name, type_name: str; multiplicity: str | None, the text between the brackets
@@ -37,27 +37,29 @@ def parse_metamodel(source_text: str, *, path: str | None = None) -> Metamodel:
     concept names, unknown supertypes, and inheritance cycles.
     """
     ts = TokenStream(source_text, path)
+    texts = ts.texts
     ts.expect("metamodel")
-    name = ts.expect_ident("metamodel name").text
+    name = texts[ts.expect_ident("metamodel name")]
     ts.expect("{")
 
     concepts: list[Concept] = []
-    decl_tokens: dict[str, Token] = {}
-    super_tokens: list[tuple[str, Token]] = []
+    declared_at: dict[str, int] = {}  # concept name -> the index of its name
+    super_refs: list[tuple[str, str, int]] = []  # (concept, supertype, the index of its name)
     while not ts.accept("}"):
         abstract = ts.accept("abstract")
         ts.expect("class")
-        name_tok = ts.expect_ident("class name")
-        if name_tok.text in decl_tokens:
-            raise ts.error(f"duplicate concept name '{name_tok.text}'", name_tok)
-        decl_tokens[name_tok.text] = name_tok
+        name_at = ts.expect_ident("class name")
+        cname = texts[name_at]
+        if cname in declared_at:
+            raise ts.error(f"duplicate concept name '{cname}'", name_at)
+        declared_at[cname] = name_at
 
         supertypes: list[str] = []
         if ts.accept("extends"):
             while True:
                 st = ts.expect_ident("supertype name")
-                supertypes.append(st.text)
-                super_tokens.append((name_tok.text, st))
+                supertypes.append(texts[st])
+                super_refs.append((cname, texts[st], st))
                 if not ts.accept(","):
                     break
 
@@ -65,50 +67,47 @@ def parse_metamodel(source_text: str, *, path: str | None = None) -> Metamodel:
         features: list[Feature] = []
         while not ts.accept("}"):
             features.append(_parse_feature(ts))
-        concepts.append(
-            Concept(name_tok.text, abstract, tuple(supertypes), tuple(features))
-        )
+        concepts.append(Concept(cname, abstract, tuple(supertypes), tuple(features)))
     ts.expect_eof()
 
-    _validate_inheritance(ts, decl_tokens, super_tokens)
+    _validate_inheritance(ts, declared_at, super_refs)
     return Metamodel(name, tuple(concepts))
 
 
 def _parse_feature(ts: TokenStream) -> Feature:
-    tok = ts.peek()
-    if not (ts.at("attr") or ts.at("ref")):
-        raise ts.error(f"expected 'attr', 'ref', or '}}', found {tok.describe()}")
-    kind = ts.advance().text
-    fname = ts.expect_ident("feature name").text
+    kind = ts.texts[ts.pos]
+    if kind not in ("attr", "ref"):
+        raise ts.error(f"expected 'attr', 'ref', or '}}', found {describe(kind)}")
+    ts.pos += 1
+    fname = ts.texts[ts.expect_ident("feature name")]
     ts.expect(":")
-    ftype = ts.expect_ident("feature type").text
+    ftype = ts.texts[ts.expect_ident("feature type")]
     multiplicity = None
     if ts.accept("["):
-        run = capture_balanced(ts, frozenset("]"), "multiplicity")
-        multiplicity = ts.slice(run[0], run[-1])
+        multiplicity = ts.slice(*capture_balanced(ts, ("]",), "multiplicity"))
         ts.expect("]")
     ts.expect(";")
     return Feature(kind, fname, ftype, multiplicity)
 
 
 def _validate_inheritance(
-    ts: TokenStream, decl_tokens: dict[str, Token], super_tokens: list[tuple[str, Token]]
+    ts: TokenStream, declared_at: dict[str, int], super_refs: list[tuple[str, str, int]]
 ) -> None:
     # graphlib walks nodes, and each node's successors (here its supertypes),
     # in insertion order and without recursion, so a deep chain cannot exhaust
     # the stack. All concepts go in before any edge: the walk starts at the first.
     graph = TopologicalSorter()
-    for name in decl_tokens:
+    for name in declared_at:
         graph.add(name)
-    for owner, st in super_tokens:
-        if st.text not in decl_tokens:
-            raise ts.error(f"unknown supertype '{st.text}' of concept '{owner}'", st)
-        graph.add(st.text, owner)
+    for owner, supertype, st in super_refs:
+        if supertype not in declared_at:
+            raise ts.error(f"unknown supertype '{supertype}' of concept '{owner}'", st)
+        graph.add(supertype, owner)
     try:
         graph.prepare()
     except CycleError as exc:
         cycle = exc.args[1]
-        raise ts.error("inheritance cycle: " + " -> ".join(cycle), decl_tokens[cycle[0]]) from None
+        raise ts.error("inheritance cycle: " + " -> ".join(cycle), declared_at[cycle[0]]) from None
 
 
 def concrete_concepts(mm: Metamodel) -> tuple[str, ...]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .lexer import ParseError, Token, TokenStream, capture_balanced
+from .lexer import ParseError, TokenStream, capture_balanced, is_ident
 
 
 class ConceptRef(namedtuple("ConceptRef", "metamodel name line column")):
@@ -66,34 +66,35 @@ def parse_transformation(
     diagnostics instead.
     """
     ts = TokenStream(source_text, path)
+    texts = ts.texts
     ts.expect("module")
-    name = ts.expect_ident("module name").text
+    name = texts[ts.expect_ident("module name")]
     ts.expect(";")
 
     ts.expect("create")
     ts.expect_ident("target model name")
     ts.expect(":")
-    target_mm = ts.expect_ident("target metamodel name").text
+    target_mm = texts[ts.expect_ident("target metamodel name")]
     ts.expect("from")
     ts.expect_ident("source model name")
     ts.expect(":")
-    source_mm = ts.expect_ident("source metamodel name").text
+    source_mm = texts[ts.expect_ident("source metamodel name")]
     ts.expect(";")
 
     helpers: list[Helper] = []
-    while ts.at("helper"):
+    while ts.accept("helper"):
         helpers.append(_parse_helper(ts))
 
     rules: list[Rule] = []
-    seen: dict[str, Token] = {}
-    parent_refs: list[Token] = []
-    while ts.at("rule") or ts.at("lazy"):
-        rule, name_tok, parent_tok = _parse_rule(ts)
+    seen: set[str] = set()
+    parent_refs: list[int] = []  # the index of each `extends` target
+    while ts.texts[ts.pos] in ("rule", "lazy"):
+        rule, name_at, parent_at = _parse_rule(ts)
         if rule.name in seen:
-            raise ts.error(f"duplicate rule name '{rule.name}'", name_tok)
-        seen[rule.name] = name_tok
-        if parent_tok is not None:
-            parent_refs.append(parent_tok)
+            raise ts.error(f"duplicate rule name '{rule.name}'", name_at)
+        seen.add(rule.name)
+        if parent_at is not None:
+            parent_refs.append(parent_at)
         if rule.source_concept.metamodel != source_mm:
             ref = rule.source_concept
             raise ParseError(
@@ -106,9 +107,9 @@ def parse_transformation(
         rules.append(rule)
     ts.expect_eof()
 
-    for parent_tok in parent_refs:
-        if parent_tok.text not in seen:
-            raise ts.error(f"unknown parent rule '{parent_tok.text}'", parent_tok)
+    for parent_at in parent_refs:
+        if texts[parent_at] not in seen:
+            raise ts.error(f"unknown parent rule '{texts[parent_at]}'", parent_at)
 
     return Transformation(
         name, source_mm, target_mm, tuple(helpers), tuple(rules), source_path=path
@@ -116,40 +117,36 @@ def parse_transformation(
 
 
 def _parse_helper(ts: TokenStream) -> Helper:
-    ts.expect("helper")
     context = None
     if ts.accept("context"):
         context = _parse_qref(ts)
     ts.expect("def")
     ts.expect(":")
-    name = ts.expect_ident("helper name").text
+    name = ts.texts[ts.expect_ident("helper name")]
     ts.expect(":")
-    type_run = capture_balanced(ts, frozenset({"="}), "helper result type")
-    result_type = _expression(ts, type_run)
+    result_type = _expression(ts, *capture_balanced(ts, ("=",), "helper result type"))
     ts.expect("=")
-    body_run = capture_balanced(ts, frozenset({";"}), "helper body")
-    body = _expression(ts, body_run)
+    body = _expression(ts, *capture_balanced(ts, (";",), "helper body"))
     ts.expect(";")
     return Helper(name, result_type, body, context)
 
 
-def _parse_rule(ts: TokenStream) -> tuple[Rule, Token, Token | None]:
+def _parse_rule(ts: TokenStream) -> tuple[Rule, int, int | None]:
     lazy = ts.accept("lazy")
     ts.expect("rule")
-    name_tok = ts.expect_ident("rule name")
-    parent_tok = None
+    name_at = ts.expect_ident("rule name")
+    parent_at = None
     if ts.accept("extends"):
-        parent_tok = ts.expect_ident("parent rule name")
+        parent_at = ts.expect_ident("parent rule name")
     ts.expect("{")
 
     ts.expect("from")
-    source_var = ts.expect_ident("source variable name").text
+    source_var = ts.texts[ts.expect_ident("source variable name")]
     ts.expect(":")
     source_concept = _parse_qref(ts)
     guard = None
     if ts.accept("("):
-        run = capture_balanced(ts, frozenset({")"}), "guard expression")
-        guard = _expression(ts, run)
+        guard = _expression(ts, *capture_balanced(ts, (")",), "guard expression"))
         ts.expect(")")
 
     ts.expect("to")
@@ -159,29 +156,28 @@ def _parse_rule(ts: TokenStream) -> tuple[Rule, Token, Token | None]:
     ts.expect("}")
 
     rule = Rule(
-        name_tok.text,
+        ts.texts[name_at],
         source_var,
         source_concept,
         tuple(targets),
         guard,
         lazy,
-        parent_tok.text if parent_tok is not None else None,
+        ts.texts[parent_at] if parent_at is not None else None,
     )
-    return rule, name_tok, parent_tok
+    return rule, name_at, parent_at
 
 
 def _parse_target(ts: TokenStream) -> TargetPattern:
-    var = ts.expect_ident("target variable name").text
+    var = ts.texts[ts.expect_ident("target variable name")]
     ts.expect(":")
     concept = _parse_qref(ts)
     ts.expect("(")
     bindings: list[Binding] = []
-    if not ts.at(")"):
+    if ts.texts[ts.pos] != ")":
         while True:
-            feature = ts.expect_ident("feature name").text
+            feature = ts.texts[ts.expect_ident("feature name")]
             ts.expect("<-")
-            run = capture_balanced(ts, frozenset({",", ")"}), "binding expression")
-            bindings.append(Binding(feature, _expression(ts, run)))
+            bindings.append(Binding(feature, _expression(ts, *capture_balanced(ts, (",", ")"), "binding expression"))))
             if not ts.accept(","):
                 break
     ts.expect(")")
@@ -189,20 +185,19 @@ def _parse_target(ts: TokenStream) -> TargetPattern:
 
 
 def _parse_qref(ts: TokenStream) -> ConceptRef:
-    mm_tok = ts.expect_ident("metamodel name")
+    mm_at = ts.expect_ident("metamodel name")
     ts.expect("!")
-    name_tok = ts.expect_ident("concept name")
-    return ConceptRef(mm_tok.text, name_tok.text, *ts.position(mm_tok))
+    name_at = ts.expect_ident("concept name")
+    return ConceptRef(ts.texts[mm_at], ts.texts[name_at], *ts.position(mm_at))
 
 
-def _expression(ts: TokenStream, run: list[Token]) -> Expression:
-    raw = ts.slice(run[0], run[-1])
+def _expression(ts: TokenStream, start: int, stop: int) -> Expression:
+    """The run of tokens `start` to `stop - 1` and the `A!B` refs in it."""
+    raw = ts.slice(start, stop)
     refs = []
     if "!" in raw:  # without a `!` the run names no concept: skip the walk
-        for i in range(1, len(run) - 1):
-            if run[i].text == "!":
-                a, c = run[i - 1], run[i + 1]
-                if a.kind == "ident" and c.kind == "ident":
-                    refs.append(ConceptRef(a.text, c.text, *ts.position(a)))
+        texts = ts.texts
+        for i in range(start + 1, stop - 1):
+            if texts[i] == "!" and is_ident(texts[i - 1]) and is_ident(texts[i + 1]):
+                refs.append(ConceptRef(texts[i - 1], texts[i + 1], *ts.position(i - 1)))
     return Expression(raw, tuple(refs))
-

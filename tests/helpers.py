@@ -14,7 +14,7 @@ from pathlib import Path
 
 import xformlens
 from xformlens import ParseError, parse_metamodel, parse_transformation
-from xformlens.lexer import Token
+from xformlens.lexer import is_ident, tokenize
 
 # The constraint-programming pivot metamodel excerpt, five endogenous
 # transformations over it, and the golden outputs rendered from them.
@@ -313,28 +313,48 @@ def reference_report_dict(report):
 
 
 # The reference scanner for `lexer.tokenize`, spelled with named groups:
-# the group that matches is the token's kind.
+# the group that matches is the token's kind. A comment or a string ends
+# at CR or LF.
 _REFERENCE_TOKEN = re.compile(
-    r"(?:[ \t\r\n]+|--[^\n]*)*"
+    r"(?:[ \t\r\n]+|--[^\r\n]*)*"
     r"(?:(?P<ident>[^\W\d]\w*)"
     r"|(?P<int>\d+)"
-    r"|(?P<string>'[^'\n]*')"
+    r"|(?P<string>'[^'\r\n]*')"
     r"|(?P<unterminated>')"
     r"|(?P<symbol><-|->|\.\.|.)"
     r"|(?P<eof>\Z))"
 )
 
 
+def reference_position(source, offset):
+    """The 1-based line and column of `offset`, where CR LF, CR and LF each end a line."""
+    before = source[:offset].replace("\r\n", "\n").replace("\r", "\n")
+    return before.count("\n") + 1, len(before) - before.rfind("\n")
+
+
 def reference_tokenize(source, path=None):
-    """The token list of `source`, or a ParseError at an unterminated quote."""
+    """The (kind, text, offset) triple of each token of `source`, or a
+    ParseError at an unterminated quote."""
     tokens = []
     for m in _REFERENCE_TOKEN.finditer(source):
         kind = m.lastgroup
         start = m.start(kind)
         if kind == "unterminated":
-            line = source.count("\n", 0, start) + 1
-            column = start - source.rfind("\n", 0, start)
-            raise ParseError("unterminated string literal", line, column, path)
-        tokens.append(Token(kind, m[kind], start))
+            raise ParseError("unterminated string literal", *reference_position(source, start), path)
+        tokens.append((kind, m[kind], start))
         if kind == "eof":
             return tokens
+
+
+def _kind(text):
+    # A token's kind as the parsers judge it: from its text alone.
+    head = text[:1]
+    if is_ident(text):
+        return "ident"
+    return "eof" if not head else "int" if head.isdecimal() else "string" if head == "'" else "symbol"
+
+
+def lexed(source, path=None):
+    """`lexer.tokenize(source)` as (kind, text, offset) triples."""
+    tokens = tokenize(source, path)
+    return [(_kind(t), t, s) for t, s in zip(tokens, tokens.starts)]

@@ -8,13 +8,12 @@ import sys
 import pytest
 
 import xformlens
-from xformlens.lexer import Token
 
 from helpers import subprocess_env
 
-# Every exported record, plus Token, with its fields and defaults. A
-# profile holds no concept and a classification no source: the concept is
-# its profile's key, and a rule's source concept is the rule's own.
+# Every exported record with its fields and defaults. A profile holds
+# no concept and a classification no source: the concept is its
+# profile's key, and a rule's source concept is the rule's own.
 RECORD_SHAPES = {
     "AnalysisReport": (
         ("transformation", "source_mm", "target_mm", "profiles", "target_concepts",
@@ -48,7 +47,6 @@ RECORD_SHAPES = {
         ("name", "source_metamodel", "target_metamodel", "helpers", "rules", "source_path"),
         {"helpers": (), "rules": (), "source_path": None},
     ),
-    "Token": (("kind", "text", "offset"), {}),
 }
 
 
@@ -84,11 +82,11 @@ def test_an_unknown_name_raises_attribute_error_naming_the_package():
 
 @pytest.mark.parametrize("name", RECORD_SHAPES)
 def test_every_record_keeps_its_shape_and_has_no_instance_dict(name):
-    record = Token if name == "Token" else getattr(xformlens, name)
+    record = getattr(xformlens, name)
     fields, defaults = RECORD_SHAPES[name]
     assert issubclass(record, tuple)
     assert record._fields == fields
     assert record._field_defaults == defaults
-    # Built as tokenize builds a Token, since Table's constructor checks its rows.
+    # Built with tuple.__new__, since Table's constructor checks its rows.
     instance = tuple.__new__(record, (None,) * len(fields))
-    assert not hasattr(instance, "__dict__")  # a large file has tens of thousands of tokens
+    assert not hasattr(instance, "__dict__")  # a large file has thousands of refs

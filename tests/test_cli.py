@@ -13,14 +13,18 @@ import pytest
 
 import xformlens
 from xformlens import (
+    ParseError,
     analyze,
     ignored_table,
     referenced_table,
     render,
     report_table,
+    parse_metamodel,
+    parse_transformation,
     report_to_json,
 )
 from xformlens.cli import main
+from xformlens.report import lint_text
 
 from helpers import CORPUS, fixture_corpus, subprocess_env, wrap_rules
 
@@ -174,6 +178,34 @@ def test_lint_rejects_crossed_brackets_with_one_positioned_error(cli, tmp_path):
     assert result.exit_code == 1
     assert result.out == ""
     assert result.err.splitlines() == [f"error: {bad}:4:34: mismatched ')' in guard expression"]
+
+
+# A lone CR written into the file, which the CLI reads with universal
+# newlines and the API takes as it is.
+_CR_PROBES = {
+    "comment": ("module t;\ncreate OUT : M from IN : M;\r-- c\rrule R { from s : M!A to t : M!B() }\n",
+                "{path}:4:30: unknown_concept: rule 'R' references unknown concept 'M!B'\n"
+                "t: never_processed: concept 'A' is referenced but never copied or mutated\n"
+                "t: ignored_out: concept 'A' appears in no target pattern\n", ""),
+    "string": ("module t;\ncreate OUT : M from IN : M;\nhelper def : h : String = 'a\rb';\n",
+               "", "error: {path}:3:27: unterminated string literal\n"),
+}
+
+
+@pytest.mark.parametrize("name", _CR_PROBES)
+def test_a_lone_cr_ends_a_line_in_the_cli_and_the_api_alike(cli, tmp_path, name):
+    source, out, err = _CR_PROBES[name]
+    mm_path, path = tmp_path / "m.cmm", tmp_path / "probe.tfm"
+    mm_path.write_text("metamodel M { class A {} }", encoding="utf-8")
+    path.write_bytes(source.encode("utf-8"))
+    mm = parse_metamodel(mm_path.read_text(encoding="utf-8"))
+    try:
+        reports = [analyze(parse_transformation(source, path=str(path)), mm, mm)]
+        api = ("".join(f"{lint_text(d, fallback=r.transformation)}\n" for r in reports for d in r.diagnostics), "")
+    except ParseError as exc:
+        api = ("", f"error: {exc}\n")
+    assert api == (out.format(path=path), err.format(path=path))
+    assert cli(["lint", str(mm_path), str(path)])[1:] == api
 
 
 @pytest.mark.parametrize(

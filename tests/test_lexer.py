@@ -6,16 +6,16 @@ import pytest
 from xformlens import ParseError, parse_metamodel, parse_transformation
 from xformlens.lexer import TokenStream, tokenize
 
-from helpers import named
+from helpers import CORPUS, lexed, named, reference_tokenize
 
 
 def stream(source):
     ts = TokenStream(source)
-    return [(t.kind, t.text, *ts.position(t), t.offset) for t in ts.tokens]
+    return [(kind, text, *ts.position(i), offset) for i, (kind, text, offset) in enumerate(lexed(source))]
 
 
 def texts(source):
-    return [t.text for t in tokenize(source)]
+    return list(tokenize(source))
 
 
 def test_every_kind():
@@ -67,9 +67,20 @@ def test_crlf_and_tab_columns():
     ]
 
 
+def test_a_lone_cr_ends_a_line_a_comment_and_a_string():
+    assert stream("a\rb\r\r\nc -- d\re\n\r'f'") == [
+        ("ident", "a", 1, 1, 0),
+        ("ident", "b", 2, 1, 2),
+        ("ident", "c", 4, 1, 6),
+        ("ident", "e", 5, 1, 13),
+        ("string", "'f'", 7, 1, 16),
+        ("eof", "", 7, 4, 19),
+    ]
+
+
 @pytest.mark.parametrize(
     "source, line, column",
-    [("x\n  'abc", 2, 3), ("x\n  'abc\n'", 2, 3), ("'ok' '", 1, 6)],
+    [("x\n  'abc", 2, 3), ("x\n  'abc\n'", 2, 3), ("'ok' '", 1, 6), ("x\r  'a\rb'", 2, 3), ("a\r\n'", 2, 1)],
 )
 def test_unterminated_string_is_reported_at_its_quote(source, line, column):
     with pytest.raises(ParseError) as exc:
@@ -77,6 +88,12 @@ def test_unterminated_string_is_reported_at_its_quote(source, line, column):
     assert exc.value.message == "unterminated string literal"
     assert (exc.value.line, exc.value.column) == (line, column)
     assert str(exc.value) == f"probe.tfm:{line}:{column}: unterminated string literal"
+
+
+@pytest.mark.parametrize("path", sorted(p for p in CORPUS.rglob("*") if p.is_file()), ids=lambda p: p.name)
+def test_every_fixture_file_lexes_as_the_reference_scanner_lexes_it(path):
+    source = path.read_text(encoding="utf-8")
+    assert lexed(source) == reference_tokenize(source)
 
 
 def test_keyword_spellings_are_names_in_metamodels():

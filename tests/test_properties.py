@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import re
 import tempfile
 
 from hypothesis import example, given, settings, strategies as st
@@ -29,15 +30,17 @@ from xformlens import (
     table_from_json,
 )
 from xformlens.cli import COMMANDS, main
-from xformlens.lexer import Token, TokenStream, tokenize
+from xformlens.lexer import TokenStream
 from xformlens.report import render_reports
 
 from helpers import (
     CORPUS,
+    lexed,
     naive_profiles,
     naive_propagate,
     random_metamodel_text,
     random_transformation_text,
+    reference_position,
     reference_report_dict,
     reference_tokenize,
 )
@@ -260,9 +263,8 @@ def _lexed(scan, source):
 @example("x²1 ٣y ½ '\t'..->")
 @settings(deadline=None, max_examples=300)
 def test_tokenize_matches_the_reference_scanner(source):
-    tokens = _lexed(tokenize, source)
+    tokens = _lexed(lexed, source)
     assert tokens == _lexed(reference_tokenize, source)
-    assert isinstance(tokens, str) or all(type(t) is Token for t in tokens)
 
 
 cell = st.text(
@@ -299,25 +301,23 @@ def test_tokens_tile_the_source(source):
         ts = TokenStream(source)
     except ParseError:
         return
-    tokens = ts.tokens
     end = 0
-    for tok in tokens:
-        assert source.startswith(tok.text, tok.offset)
-        line, column = ts.position(tok)
-        assert line == source.count("\n", 0, tok.offset) + 1
-        assert column == tok.offset - source.rfind("\n", 0, tok.offset)
-        # Between two tokens there are only blanks and `--` comments.
-        gap = source[end : tok.offset].split("\n")
+    for i, (text, offset) in enumerate(zip(ts.texts, ts.texts.starts)):
+        assert source.startswith(text, offset)
+        assert ts.position(i) == reference_position(source, offset)
+        # Between two tokens there are only blanks and `--` comments, and
+        # CR and LF each end a comment.
+        gap = re.split("[\r\n]", source[end:offset])
         for piece in gap[:-1]:
-            rest = piece.lstrip(" \t\r")
+            rest = piece.lstrip(" \t")
             assert rest == "" or rest.startswith("--")
-        last = gap[-1].lstrip(" \t\r")
-        assert last == "" or (tok.kind == "eof" and last.startswith("--"))
-        assert tok.text or tok.kind == "eof"
-        end = tok.offset + len(tok.text)
-    assert [t.kind for t in tokens].count("eof") == 1
-    assert tokens[-1].kind == "eof"
-    assert tokens[-1].offset == len(source)
+        last = gap[-1].lstrip(" \t")
+        assert last == "" or (text == "" and last.startswith("--"))
+        end = offset + len(text)
+    assert ts.texts.count("") == 1
+    assert ts.texts[-1] == ""
+    assert ts.texts.starts[-1] == len(source)
+    assert len(ts.texts.starts) == len(ts.texts)
 
 
 # Token spellings of both dialects, so that generated inputs get past the

@@ -93,23 +93,29 @@ MUTANTS = [
     # Tables and lexer.
     (f"{PKG}/report.py", "collapsed = top[0] if len(top) == 1 else None", "collapsed = top[0]",
      "a size tie still collapses one group to ALL OTHER"),
-    (f"{PKG}/lexer.py", r'r"|(<-|->|\.\.|.)"', r'r"|(.|<-|->|\.\.)"',
+    (f"{PKG}/lexer.py", r"|'|<-|->|\.\.|[^ \t\r\n])", r"|'|[^ \t\r\n]|<-|->|\.\.)",
      "single characters are tried before `<-`, `->` and `..`"),
-    (f"{PKG}/lexer.py", r'r"(?:[ \t\r\n]+|--[^\n]*)*"', r'r"(?:[ \t\r\n]+|-[^\n]*)*"',
+    (f"{PKG}/lexer.py", r'r"(--[^\r\n]*|', r'r"(-[^\r\n]*|',
      "one `-` starts a comment, so `<--` loses its `-`"),
-    (f"{PKG}/lexer.py", '(None, "ident", "int", "string",', '(None, "ident", "string", "int",',
-     "integers and strings swap kinds"),
-    (f"{PKG}/lexer.py", 'if kind == "unterminated":', "if not kind:",
+    (f"{PKG}/lexer.py", "(head.isnumeric() and not head.isdecimal())", "head.isnumeric()",
+     "an integer is taken for an identifier"),
+    (f"{PKG}/lexer.py", """if "'" in texts:""", """if "'" in parts[::2]:""",
      "an unterminated quote becomes a token"),
-    (f"{PKG}/lexer.py", """found {tok.describe()}")\n        self.pos += 1\n        return tok\n\n    def expect_ident""",
-     """found {tok.describe()}")\n        return tok\n\n    def expect_ident""",
+    (f"{PKG}/lexer.py", """found {describe(self.texts[self.pos])}")\n        self.pos += 1\n\n    def expect_ident""",
+     """found {describe(self.texts[self.pos])}")\n\n    def expect_ident""",
      "`expect` does not step past the token it matched"),
+    # Killed by test_lexer.py's test_double_dash_starts_a_comment_even_before_an_arrow_head.
+    (f"{PKG}/lexer.py", 'if "--" in source:', 'if "--" not in source:',
+     "comments are never dropped from the token lists"),
+    # Killed by test_lexer.py's test_a_lone_cr_ends_a_line_a_comment_and_a_string.
+    (f"{PKG}/lexer.py", r'_LINE_END = re.compile(r"(\r\n?|\n)")', r'_LINE_END = re.compile(r"(\r\n|\n)")',
+     "a lone CR does not end a line"),
     # Killed by test_lexer.py's test_balanced_capture_errors.
+    (f"{PKG}/lexer.py", '_BOUNDS = {*"()[]{},;=", ""}', '_BOUNDS = {*"()[]{},;="}',
+     "a captured run runs past end of input unreported"),
     (f"{PKG}/lexer.py", "if expected.pop() != text:", "if expected.pop() == text:",
      "a closer of the right kind is called mismatched, and one of the wrong kind is taken"),
     # Records. Killed by test_api.py's test_every_record_keeps_its_shape_and_has_no_instance_dict.
-    (f"{PKG}/lexer.py", "    __slots__ = ()\n\n    def describe", "    def describe",
-     "every Token carries an instance dict"),
     (f"{PKG}/metamodel.py", '"kind name type_name multiplicity", defaults=(None,))', '"kind name type_name multiplicity")',
      "a Feature's multiplicity loses its default"),
     # Output. Killed by test_lint_colors_kinds_when_enabled, test_properties.py's
