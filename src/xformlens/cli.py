@@ -39,12 +39,11 @@ def _fail(message: str, code: int):
 
 
 def _read(path: str) -> str:
-    try:
+    try:  # "utf-8", not "utf-8-sig", which shifts the byte offset below; the lexer drops a BOM
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except UnicodeDecodeError as exc:
         _fail(f"{path}: not valid UTF-8 at byte {exc.start}", 1)
-    return text.removeprefix("\ufeff")  # not "utf-8-sig": it shifts the byte offset above
 
 
 def _analyze_all(metamodel_path: str, transformation_paths: tuple[str, ...]):

@@ -107,7 +107,7 @@ class TokenStream:
     """
 
     def __init__(self, source: str, path: str | None = None):
-        self.source = source
+        self.source = source = source.removeprefix("\ufeff")  # one byte order mark, as editors write it
         self.path = path
         self.texts = tokenize(source, path)
         self.pos = 0

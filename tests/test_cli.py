@@ -1,9 +1,11 @@
 """Command-line interface: outputs, exit codes, and error handling."""
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -556,6 +558,64 @@ def test_importing_the_package_loads_no_submodule():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.split() == ["xformlens"]
+
+
+def test_main_in_process_leaves_the_collector_alone(cli, corpus_args):
+    frozen = gc.get_freeze_count()
+    assert gc.isenabled()
+    assert cli(["lint", *corpus_args]).exit_code == 0
+    assert cli(["chain-plan", *corpus_args, "--forbid", "Forall"]).exit_code == 3
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == frozen
+
+
+def test_the_process_entry_disables_the_collector_before_the_commands_load():
+    # A finder that declines every module notes whether the collector is on when
+    # `xformlens.cli` is looked up, which is before any of its code runs.
+    probe = (
+        "import gc, sys\nseen = []\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'xformlens.cli':\n"
+        "            seen.append(gc.isenabled())\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "import xformlens.__main__\nprint(seen, gc.isenabled())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=subprocess_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[False] False\n"
+
+
+_RUN = "import gc, sys\nfrom xformlens.__main__ import run\ntry:\n    run()\nfinally:\n    print(gc.get_freeze_count() > 0, file=sys.stderr)"
+
+
+def test_the_process_entry_freezes_the_heap_before_exit(corpus_args):
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", f"import gc\nassert not gc.get_freeze_count()\n{_RUN}", "lint", *corpus_args],
+        capture_output=True, text=True, env=subprocess_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "True\n")
+    assert "never_processed" in proc.stdout
+
+
+@pytest.mark.parametrize("entry", [["-m", "xformlens"], ["-c", _RUN]], ids=["python-m", "run"])
+def test_the_process_entry_keeps_the_exit_code(corpus_args, entry):
+    proc = subprocess.run(
+        [sys.executable, "-S", *entry, "chain-plan", *corpus_args, "--initial", "Class", "--require", "Forall"],
+        capture_output=True, text=True, env=subprocess_env(), timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == "no plan\n"
+
+
+def test_the_console_script_runs_the_process_entry():
+    # A text match: tomllib is new in Python 3.11.
+    pyproject = (CORPUS.parent / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:\n\[|\Z)", pyproject, re.M | re.S)
+    assert scripts is not None
+    assert scripts[1].strip().splitlines() == ['xformlens = "xformlens.__main__:run"']
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

@@ -248,3 +248,21 @@ def test_invisible_characters_in_a_string_are_named_by_code_point(char, shown):
     with pytest.raises(ParseError) as exc:
         parse_metamodel("metamodel M { 'a" + char + "b' }")
     assert str(exc.value) == f"1:15: expected 'class', found ''a{shown}b''"
+
+
+@pytest.mark.parametrize(
+    "parse, name, broken, position",
+    [(parse_metamodel, "pivot.cmm", "metamodel M {\n\tclass }", "2:8"),
+     (parse_transformation, "recordRemoval.tfm", "module m; create }", "1:18")],
+    ids=["metamodel", "transformation"],
+)
+def test_one_leading_byte_order_mark_is_dropped(parse, name, broken, position):
+    text = (CORPUS / name).read_text(encoding="utf-8")
+    assert parse("\ufeff" + text, path=name) == parse(text, path=name)
+    with pytest.raises(ParseError, match=f"^{name}:{position}: ") as plain:
+        parse(broken, path=name)
+    with pytest.raises(ParseError) as marked:
+        parse("\ufeff" + broken, path=name)
+    assert str(marked.value) == str(plain.value)
+    with pytest.raises(ParseError, match=f"^{name}:1:1: expected '\\w+', found U\\+FEFF$"):
+        parse("\ufeff\ufeff" + text, path=name)  # a second mark is a stray character

@@ -126,6 +126,12 @@ MUTANTS = [
      "a diagnostic's JSON has a line exactly when it has none"),
     (f"{PKG}/cli.py", "data = data[taken:]", "data = data[len(data):]",
      "the bytes a short write left are dropped"),
+    # Process entry. Killed by test_the_process_entry_disables_the_collector_before_the_commands_load
+    # and test_the_process_entry_freezes_the_heap_before_exit.
+    (f"{PKG}/__main__.py", "gc.disable()\n", "pass\n",
+     "the collector stays on while the commands load"),
+    (f"{PKG}/__main__.py", "        gc.freeze()\n", "        pass\n",
+     "the collections at exit walk the whole heap"),
     # Package names.
     (f"{PKG}/__init__.py", '"plan_chain", "propagate"),\n    "lexer": ("ParseError",),',
      '"plan_chain"),\n    "lexer": ("ParseError", "propagate"),',
