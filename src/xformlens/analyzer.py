@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 
+from .lexer import one_line
 from .metamodel import Metamodel, concrete_concepts, declaration_order
 from .transformation import ConceptRef, Rule, Transformation
 
@@ -35,6 +36,19 @@ ConceptProfile = namedtuple(
 # kind: "unknown_concept" | "never_processed" | "ignored_in" | "ignored_out";
 # subject, message: str; file: str | None; line, column: int | None
 Lint = namedtuple("Lint", "kind subject message file line column", defaults=(None, None, None))
+
+
+def lint_text(d: Lint, kind: str | None = None, fallback: str | None = None) -> str:
+    """Format a diagnostic as `file:line:column: kind: message`.
+
+    An unpositioned diagnostic is prefixed by `fallback` instead, or by
+    nothing. `kind`, when given, is shown in place of d.kind.
+    """
+    where = fallback
+    if d.file is not None and d.line is not None:
+        where = f"{one_line(d.file)}:{d.line}:{d.column}"  # messages name identifiers: no line breaks
+    prefix = "" if where is None else f"{where}: "
+    return f"{prefix}{kind or d.kind}: {d.message}"
 
 
 class FixedPointVerdict(namedtuple("FixedPointVerdict", "flag explanation focal", defaults=((),))):

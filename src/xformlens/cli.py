@@ -5,13 +5,12 @@ unknown_concept diagnostics, 3 no chain plan found.
 """
 from __future__ import annotations
 
-import argparse
 import codecs
 import io
 import os
 import sys
 
-from .analyzer import MetamodelMismatchError, analyze as run_analysis
+from .analyzer import MetamodelMismatchError, analyze as run_analysis, lint_text
 from .lexer import ParseError, one_line
 from .metamodel import Metamodel, concrete_concepts, declaration_order, parse_metamodel
 from .transformation import parse_transformation
@@ -92,30 +91,88 @@ def _write_all(stream, text: str) -> None:
     stream.flush()
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one `error:` line with exit 1."""
+COMMANDS: dict[str, tuple] = {}  # name -> (function, its options' table)
+# flag -> (dest, kind, default, help). A kind is "switch", "value", "values" (repeatable),
+# "int", or the tuple of the values the option accepts.
+_OPTIONS = {
+    "--format": ("fmt", ("markdown", "html", "latex", "json"), "markdown", "Output format (default: markdown)."),
+    "--out": ("out_path", "value", None, "Write to this file instead of stdout."),
+    "--strict": ("strict", "switch", False, "Exit 2 when any unknown_concept diagnostic fires."),
+    "--initial": ("initial_spec", "value", "ALL", "Comma-separated concrete concepts, or ALL (the default)."),
+    "--require": ("require", "values", (), "Concepts the final set must contain."),
+    "--forbid": ("forbid", "values", (), "Concepts the final set must not contain."),
+    "--max-len": ("max_len", "int", 8, "Maximum chain length (default: 8)."),
+}
 
-    def error(self, message: str):
-        _fail(message, 1)
 
-
-COMMANDS: dict[str, tuple] = {}
-_STRICT = ("--strict", dict(action="store_true", help="Exit 2 when any unknown_concept diagnostic fires."))
-_INITIAL = ("--initial", dict(dest="initial_spec", metavar="CONCEPTS", default="ALL",
-                              help="Comma-separated concrete concepts, or ALL (the default)."))
-
-
-def _command(name: str, *options):
-    """Register a command taking a metamodel path, transformation paths and `options`.
-
-    An option is a (flag, spec) pair, or a function returning one when its
-    parser is built. The command returns its stdout text and exit code, and
-    `main` writes the text in one call.
-    """
+def _command(name: str, *flags: str):
+    """Register a command taking a metamodel path, transformation paths and the options `flags`.
+    It returns its stdout text and exit code, and `main` writes the text in one call."""
     def register(fn):
-        COMMANDS[name] = (fn, options)
+        COMMANDS[name] = (fn, {flag: _OPTIONS[flag] for flag in flags})
         return fn
     return register
+
+
+def _is_option(word: str) -> bool:
+    """A dash and more is an option, as argparse has it, unless it is a negative integer or holds a blank."""
+    return word[:1] == "-" and word != "-" and not word[1:].isdecimal() and " " not in word
+
+
+def _help(usage: str, doc: str, heading: str, rows) -> str:
+    lines = [f"usage: xformlens {usage} [-h] [options] METAMODEL TRANSFORMATION...", "", doc, "", f"{heading}:"]
+    lines += [f"  {left:<20}  {right}" if len(left) <= 20 else f"  {left}\n{'':24}{right}" for left, right in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _parse_and_run(argv: list[str]) -> tuple[str, int]:
+    """Run the command that `argv` names, or return the help it asks for, as (stdout text, exit code).
+    Options are spelled in full, as `--opt value` or `--opt=value`, anywhere among the paths until `--`."""
+    name = argv[0] if argv else ""
+    if name not in COMMANDS:
+        if name in ("-h", "--help"):
+            return _help("COMMAND", main.__doc__, "commands", [(n, fn.__doc__) for n, (fn, _) in COMMANDS.items()]), 0
+        what = f"unknown {'option' if _is_option(name) else 'command'} '{name}'" if argv else "no command"
+        _fail(f"{what} (choose from {', '.join(COMMANDS)})", 1)
+    fn, table = COMMANDS[name]
+    args = {dest: default for dest, _, default, _ in table.values()}
+    paths = []
+    words = iter(argv[1:])
+    for word in words:
+        flag, eq, value = word.partition("=")
+        if word == "--":
+            paths.extend(words)
+        elif word in ("-h", "--help"):
+            rows = [("-h, --help", "Show this help and exit.")]
+            for option, (_, kind, _, text) in table.items():
+                meta = "{%s}" % ",".join(kind) if isinstance(kind, tuple) else option[2:].upper()
+                rows.append((option if kind == "switch" else f"{option} {meta}", text))
+            return _help(name, fn.__doc__, "options", rows), 0
+        elif flag not in table:
+            if _is_option(word):
+                _fail(f"unknown option '{word}' (put '--' before a path that starts with '-')", 1)
+            paths.append(word)
+        else:
+            dest, kind, _, _ = table[flag]
+            if kind == "switch":
+                if eq:
+                    _fail(f"{flag} takes no value", 1)
+                value = True
+            elif not eq:
+                value = next(words, None)
+                if value is None or _is_option(value):
+                    _fail(f"{flag} needs a value", 1)
+            if kind == "int":
+                try:
+                    value = int(value)
+                except ValueError:
+                    _fail(f"{flag} takes an integer, not '{value}'", 1)
+            elif isinstance(kind, tuple) and value not in kind:
+                _fail(f"{flag} takes one of {', '.join(kind)}, not '{value}'", 1)
+            args[dest] = (*args[dest], value) if kind == "values" else value
+    if len(paths) < 2:
+        _fail(f"{name} takes a metamodel path and at least one transformation path", 1)
+    return fn(paths[0], paths[1:], **args)
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -125,25 +182,10 @@ def main(argv: list[str] | None = None) -> None:
     for stream in (sys.stdout, sys.stderr):  # one spelling of a file name on both streams
         if hasattr(stream, "reconfigure"):
             stream.reconfigure(errors="xformlens.bytes")
-    name = argv[0] if argv else None
-    if name not in COMMANDS:
-        # Options may sit between the paths, which subparsers reject, so
-        # the top level only names the commands: it prints help or fails.
-        top = _Parser(prog="xformlens", description=main.__doc__, allow_abbrev=False)
-        top.add_argument("command", choices=COMMANDS)
-        top.parse_args(argv[:1])
-    fn, options = COMMANDS[name]
-    parser = _Parser(prog=f"xformlens {name}", description=fn.__doc__, allow_abbrev=False)
-    parser.add_argument("metamodel_path")
-    parser.add_argument("transformation_paths", nargs="+")
-    for option in options:
-        flag, spec = option() if callable(option) else option
-        parser.add_argument(flag, **spec)
-    args = parser.parse_intermixed_args(argv[1:])
     if sys.stdout is None:  # fd 1 is closed: writing fails like any other write
         sys.stdout = _ClosedStdout()
     try:
-        text, code = fn(**vars(args))
+        text, code = _parse_and_run(argv)
         if text:
             _write_all(sys.stdout, text)
     except (OSError, ParseError, MetamodelMismatchError) as exc:  # every input and I/O failure ends here
@@ -161,18 +203,7 @@ def main(argv: list[str] | None = None) -> None:
         raise SystemExit(code)
 
 
-def _format_option() -> tuple[str, dict]:
-    from .report import FORMATS
-
-    return "--format", dict(dest="fmt", choices=FORMATS, default="markdown", help="Output format (default: %(default)s).")
-
-
-@_command(
-    "analyze",
-    _format_option,
-    ("--out", dict(dest="out_path", metavar="PATH", help="Write to this file instead of stdout.")),
-    _STRICT,
-)
+@_command("analyze", "--format", "--out", "--strict")
 def analyze(metamodel_path, transformation_paths, fmt, out_path, strict):
     """Analyze transformations and render ignored/referenced tables."""
     from .report import render_reports
@@ -186,11 +217,9 @@ def analyze(metamodel_path, transformation_paths, fmt, out_path, strict):
     return text, 2 if strict and any(d.kind == "unknown_concept" for r in reports for d in r.diagnostics) else 0
 
 
-@_command("lint", _STRICT)
+@_command("lint", "--strict")
 def lint(metamodel_path, transformation_paths, strict):
     """List diagnostics, one line each; print 'no findings' when clean."""
-    from .report import lint_text
-
     mm, reports = _analyze_all(metamodel_path, transformation_paths)
     kinds = _PAINTED if os.environ.get("XFORMLENS_COLOR") == "1" else {}
     lines = [lint_text(d, kind=kinds.get(d.kind), fallback=r.transformation) for r in reports for d in r.diagnostics]
@@ -198,7 +227,7 @@ def lint(metamodel_path, transformation_paths, strict):
     return "\n".join(lines or ["no findings"]) + "\n", 2 if unknown else 0
 
 
-@_command("chain-check", _INITIAL)
+@_command("chain-check", "--initial")
 def chain_check(metamodel_path, transformation_paths, initial_spec):
     """Validate an ordered chain of transformations step by step."""
     from .chain import check_chain
@@ -219,13 +248,7 @@ def chain_check(metamodel_path, transformation_paths, initial_spec):
     return "\n".join(lines) + "\n", 0
 
 
-@_command(
-    "chain-plan",
-    _INITIAL,
-    ("--require", dict(metavar="CONCEPTS", action="append", default=[], help="Concepts the final set must contain.")),
-    ("--forbid", dict(metavar="CONCEPTS", action="append", default=[], help="Concepts the final set must not contain.")),
-    ("--max-len", dict(type=int, default=8, help="Maximum chain length (default: %(default)s).")),
-)
+@_command("chain-plan", "--initial", "--require", "--forbid", "--max-len")
 def chain_plan(metamodel_path, transformation_paths, initial_spec, require, forbid, max_len):
     """Find a shortest transformation chain meeting the goal, or exit 3."""
     from .chain import plan_chain

@@ -9,8 +9,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .analyzer import AnalysisReport, Lint, Mode
-from .lexer import one_line
+from .analyzer import AnalysisReport, Mode, lint_text
 from .metamodel import declaration_order
 
 # Table labels of the modes, in display order: the rarest mode comes
@@ -135,19 +134,6 @@ def report_table(report: AnalysisReport) -> Table:
     for d in report.diagnostics:
         rows.append(("diagnostic", lint_text(d)))
     return Table(f"report: {report.transformation}", ("field", "value"), tuple(rows))
-
-
-def lint_text(d: Lint, kind: str | None = None, fallback: str | None = None) -> str:
-    """Format a diagnostic as `file:line:column: kind: message`.
-
-    An unpositioned diagnostic is prefixed by `fallback` instead, or by
-    nothing. `kind`, when given, is shown in place of d.kind.
-    """
-    where = fallback
-    if d.file is not None and d.line is not None:
-        where = f"{one_line(d.file)}:{d.line}:{d.column}"  # messages name identifiers: no line breaks
-    prefix = "" if where is None else f"{where}: "
-    return f"{prefix}{kind or d.kind}: {d.message}"
 
 
 def _render_markdown(table: Table) -> str:

@@ -198,6 +198,8 @@ def _expression(ts: TokenStream, start: int, stop: int) -> Expression:
     if "!" in raw:  # without a `!` the run names no concept: skip the walk
         texts = ts.texts
         for i in range(start + 1, stop - 1):
-            if texts[i] == "!" and is_ident(texts[i - 1]) and is_ident(texts[i + 1]):
-                refs.append(ConceptRef(texts[i - 1], texts[i + 1], *ts.position(i - 1)))
+            if texts[i] == "!":  # most names start with a letter: skip the call, as `expect_ident` does
+                mm, name = texts[i - 1], texts[i + 1]
+                if (mm[:1].isalpha() or is_ident(mm)) and (name[:1].isalpha() or is_ident(name)):
+                    refs.append(ConceptRef(mm, name, *ts.position(i - 1)))
     return Expression(raw, tuple(refs))

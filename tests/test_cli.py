@@ -468,23 +468,72 @@ def test_help_lists_all_commands(cli):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, named",
     [
-        [],
-        ["bogus"],
-        ["analyze"],
-        ["analyze", "pivot.cmm"],
-        ["analyze", "--format", "xml", "pivot.cmm", "enumRemoval.tfm"],
-        ["chain-plan", "pivot.cmm", "enumRemoval.tfm", "--max-len", "x"],
+        ([], "no command"),
+        (["bogus"], "'bogus'"),
+        (["--version"], "'--version'"),
+        (["analyze"], "metamodel"),
+        (["analyze", "pivot.cmm"], "transformation"),
+        (["lint", "pivot.cmm", "-x.tfm"], "'-x.tfm' (put '--' before"),
+        (["analyze", "--format", "xml", "pivot.cmm", "enumRemoval.tfm"], "'xml'"),
+        (["analyze", "pivot.cmm", "enumRemoval.tfm", "--format"], "--format needs a value"),
+        (["analyze", "--out", "--strict", "pivot.cmm", "enumRemoval.tfm"], "--out needs a value"),
+        (["chain-plan", "pivot.cmm", "enumRemoval.tfm", "--max-len", "x"], "'x'"),
+        (["lint", "--stri", "pivot.cmm", "enumRemoval.tfm"], "'--stri'"),
+        (["lint", "--strict=1", "pivot.cmm", "enumRemoval.tfm"], "--strict takes no value"),
     ],
-    ids=["no-command", "unknown-command", "no-paths", "no-transformations", "bad-format", "bad-max-len"],
+    ids=["no-command", "unknown-command", "unknown-top-option", "no-paths", "no-transformations", "dash-path",
+         "bad-format", "missing-value", "option-as-value", "bad-max-len", "abbreviation", "switch-with-value"],
 )
-def test_usage_errors_exit_one_with_one_error_line(cli, argv):
+def test_usage_errors_exit_one_with_one_error_line(cli, argv, named):
     result = cli(argv)
     assert result.exit_code == 1
     assert result.out == ""
     assert result.err.startswith("error: ")
     assert result.err.count("\n") == 1 and result.err.endswith("\n")
+    assert named in result.err
+
+
+def test_an_option_value_may_follow_an_equals_sign(cli, corpus_args):
+    spaced = cli(["analyze", "--format", "json", *corpus_args])
+    assert cli(["analyze", "--format=json", *corpus_args]) == spaced
+    assert cli(["analyze", *corpus_args, "--format=json"]) == spaced
+    assert spaced.exit_code == 0
+    plan = cli(["chain-plan", *corpus_args, "--forbid", "Class", "--forbid", "Record", "--max-len", "2"])
+    assert cli(["chain-plan", "--forbid=Class", *corpus_args, "--forbid=Record", "--max-len=2"]) == plan
+    assert plan.out.startswith("plan: 2 step(s)\n")
+
+
+def test_double_dash_ends_the_options(cli, corpus_args, tmp_path, monkeypatch):
+    (tmp_path / "-x.tfm").write_bytes(Path(corpus_args[4]).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    expected = cli(["lint", corpus_args[0], corpus_args[4]]).out
+    assert cli(["lint", "--", corpus_args[0], "-x.tfm"]) == (0, expected, "")
+    assert cli(["lint", "--strict", corpus_args[0], "--", "-x.tfm"]) == (0, expected, "")
+    assert cli(["lint", corpus_args[0], corpus_args[4], "--"]) == (0, expected, "")
+    # After `--`, a flag is a path.
+    assert cli(["lint", corpus_args[0], "--", "--strict"]).err == "error: [Errno 2] No such file or directory: '--strict'\n"
+
+
+_FLAGS = {
+    "analyze": ["--format", "--out", "--strict"],
+    "lint": ["--strict"],
+    "chain-check": ["--initial"],
+    "chain-plan": ["--initial", "--require", "--forbid", "--max-len"],
+}
+
+
+@pytest.mark.parametrize("where", ["first", "among-paths", "last"])
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_command_help_lists_its_flags(cli, corpus_args, command, where):
+    flag = "-h" if where == "among-paths" else "--help"
+    argv = {"first": [flag], "among-paths": [corpus_args[0], flag, corpus_args[1]], "last": [*corpus_args, flag]}
+    result = cli([command, *argv[where]])
+    assert (result.exit_code, result.err) == (0, "")
+    assert result.out.startswith(f"usage: xformlens {command} ")
+    listed = re.findall(r"^  (--?[a-z-]+)", result.out, re.M)
+    assert listed == ["-h", *_FLAGS[command]]
 
 
 @pytest.mark.parametrize(
@@ -507,14 +556,18 @@ def test_chain_plan_accepts_options_among_the_paths(cli, monkeypatch, argv, code
     assert result.out.splitlines()[: len(lines)] == lines
 
 
+# Start-up cost: each of these modules adds milliseconds to every call. The
+# package reads files with `open`, not pathlib, the renderers import json and
+# html only when they run, the records are `collections.namedtuple`s, and the
+# command line is parsed without argparse, whose messages load gettext and locale.
+_BANNED = {"dataclasses", "inspect", "click", "pathlib", "fnmatch", "urllib", "json", "html", "typing", "argparse",
+           "gettext", "locale"}
+
+
 def test_cli_import_loads_no_costly_module():
-    # Start-up cost: each of these modules adds milliseconds to every call.
     # A subprocess, because pytest itself has already imported dataclasses,
-    # and `-S`, because `site` may load pathlib itself. The package reads
-    # files with `open`, not pathlib, the renderers import json and html
-    # only when they run, and the records are `collections.namedtuple`s.
-    banned = "{'dataclasses', 'inspect', 'click', 'pathlib', 'fnmatch', 'urllib', 'json', 'html', 'typing'}"
-    probe = f"import sys, xformlens.cli; print(*sorted({banned} & set(sys.modules)))"
+    # and `-S`, because `site` may load pathlib itself.
+    probe = f"import sys, xformlens.cli; print(*sorted({_BANNED} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=subprocess_env(), timeout=60
     )
@@ -528,27 +581,29 @@ _BASE_MODULES = ["xformlens", "xformlens.analyzer", "xformlens.cli", "xformlens.
 
 
 @pytest.mark.parametrize(
-    "command, layer",
-    [(["analyze"], "report"), (["analyze", "--format", "json"], "report"), (["lint"], "report"),
-     (["chain-check"], "chain"), (["chain-plan", "--forbid", "Class", "--forbid", "Record"], "chain")],
+    "command, layers",
+    [(["analyze"], ["report"]), (["analyze", "--format", "json"], ["report"]), (["lint"], []),
+     (["chain-check"], ["chain"]), (["chain-plan", "--forbid", "Class", "--forbid", "Record"], ["chain"])],
     ids=["analyze", "analyze-json", "lint", "chain-check", "chain-plan"],
 )
-def test_each_command_loads_only_the_layers_it_runs(corpus_args, command, layer):
+def test_each_command_loads_only_the_layers_it_runs(corpus_args, command, layers):
     # Under -S, in a fresh interpreter: chain commands never load report,
-    # and analyze and lint never load chain. `report` and `chain` load only
-    # inside a command, so only a command run shows that they load no `typing`.
+    # analyze never loads chain, and lint loads neither. `report` and `chain`
+    # load only inside a command, and the command line is parsed there too,
+    # so only a command run shows that none of them loads a costly module
+    # but the one a renderer needs.
     probe = (
         f"import sys\nfrom xformlens.cli import main\ntry:\n    main(sys.argv[1:])\nfinally:\n    {_LOADED}\n"
-        "    print('typing' in sys.modules, file=sys.stderr)"
+        f"    print(*sorted({_BANNED - {'json', 'html'}} & set(sys.modules)), file=sys.stderr)"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe, *command, *corpus_args],
         capture_output=True, text=True, env=subprocess_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded, typing_loaded = proc.stderr.splitlines()
-    assert loaded.split() == sorted([*_BASE_MODULES, f"xformlens.{layer}"])
-    assert typing_loaded == "False"
+    loaded, banned = proc.stderr.split("\n")[:2]
+    assert loaded.split() == sorted([*_BASE_MODULES, *(f"xformlens.{layer}" for layer in layers)])
+    assert banned == ""
 
 
 def test_importing_the_package_loads_no_submodule():

@@ -19,6 +19,7 @@ from xformlens import (
     table_from_json,
 )
 import xformlens.report as report_module
+from xformlens.cli import COMMANDS
 from xformlens.report import FORMATS, mode_set_label, render_reports
 
 from helpers import wrap_rules
@@ -97,8 +98,8 @@ def test_unknown_format_is_rejected():
     with pytest.raises(ValueError) as exc:
         render(table, "xml")
     assert str(exc.value) == "unknown format 'xml' (expected one of markdown, html, latex, json)"
-    # `--format` takes its choices, in this order, from FORMATS.
-    assert FORMATS == ("markdown", "html", "latex", "json")
+    # `--format` takes exactly these choices, in this order.
+    assert FORMATS == ("markdown", "html", "latex", "json") == COMMANDS["analyze"][1]["--format"][1]
 
 
 def test_table_from_json_validates_shape():

@@ -167,6 +167,18 @@ def test_expression_refs_require_qualifier_shape():
     assert {r.qualified for r in guard.refs} == {"CPPivot!Class", "Other!Ghost"}
 
 
+@pytest.mark.parametrize(
+    "guard, refs",
+    [("1!A", set()), ("A!'s'", set()), ("(s.x)!A", set()), ("A!1", set()), ("x!\u00b2y", {"x!\u00b2y"})],
+    ids=["integer-left", "string-right", "bracket-left", "integer-right", "superscript-right"],
+)
+def test_expression_refs_need_an_identifier_on_both_sides(guard, refs):
+    # `\u00b2` (superscript two) is numeric but not decimal, so it starts an identifier.
+    body = f"rule Probe {{ from s : CPPivot!Variable ({guard}) to t : CPPivot!Variable() }}"
+    rule = named(parse_transformation(wrap_rules(body)).rules, "Probe")
+    assert {r.qualified for r in rule.guard.refs} == refs
+
+
 def test_corpus_transformation_shapes(transformations):
     by_name = {t.name: t for t in transformations}
     ci = by_name["classInstantiation"]

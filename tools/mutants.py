@@ -115,6 +115,9 @@ MUTANTS = [
      "a captured run runs past end of input unreported"),
     (f"{PKG}/lexer.py", "if expected.pop() != text:", "if expected.pop() == text:",
      "a closer of the right kind is called mismatched, and one of the wrong kind is taken"),
+    # Killed by test_transformation.py's test_expression_refs_need_an_identifier_on_both_sides.
+    (f"{PKG}/transformation.py", " and (name[:1].isalpha() or is_ident(name)):", ":",
+     "a captured `A!B` needs no identifier after the `!`"),
     # Records. Killed by test_api.py's test_every_record_keeps_its_shape_and_has_no_instance_dict.
     (f"{PKG}/metamodel.py", '"kind name type_name multiplicity", defaults=(None,))', '"kind name type_name multiplicity")',
      "a Feature's multiplicity loses its default"),
@@ -126,6 +129,12 @@ MUTANTS = [
      "a diagnostic's JSON has a line exactly when it has none"),
     (f"{PKG}/cli.py", "data = data[taken:]", "data = data[len(data):]",
      "the bytes a short write left are dropped"),
+    # Command line. Killed by test_an_option_value_may_follow_an_equals_sign and
+    # test_double_dash_ends_the_options.
+    (f"{PKG}/cli.py", 'flag, eq, value = word.partition("=")', 'flag, eq, value = word, "", ""',
+     "`--opt=value` is taken for an unknown option"),
+    (f"{PKG}/cli.py", "paths.extend(words)", "pass",
+     "`--` is dropped and the words after it are still read as options"),
     # Process entry. Killed by test_the_process_entry_disables_the_collector_before_the_commands_load
     # and test_the_process_entry_freezes_the_heap_before_exit.
     (f"{PKG}/__main__.py", "gc.disable()\n", "pass\n",
