@@ -114,16 +114,11 @@ def analyze(
     becomes an unknown_concept diagnostic, and a rule whose source or
     target pattern fails to resolve is left out of the profiles.
     """
-    if t.source_metamodel != source_mm.name:
-        raise MetamodelMismatchError(
-            f"transformation '{t.name}' reads from '{t.source_metamodel}' "
-            f"but metamodel '{source_mm.name}' was supplied"
-        )
-    if t.target_metamodel != target_mm.name:
-        raise MetamodelMismatchError(
-            f"transformation '{t.name}' writes to '{t.target_metamodel}' "
-            f"but metamodel '{target_mm.name}' was supplied"
-        )
+    for verb, named, mm in ("reads from", t.source_metamodel, source_mm), ("writes to", t.target_metamodel, target_mm):
+        if named != mm.name:
+            raise MetamodelMismatchError(
+                f"transformation '{t.name}' {verb} '{named}' but metamodel '{mm.name}' was supplied"
+            )
 
     source_concepts = concrete_concepts(source_mm)
     target_concepts = concrete_concepts(target_mm)

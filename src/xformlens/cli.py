@@ -167,6 +167,8 @@ def _parse_and_run(argv: list[str]) -> tuple[str, int]:
                     value = int(value)
                 except ValueError:
                     _fail(f"{flag} takes an integer, not '{value}'", 1)
+                if value < 0:
+                    _fail(f"{flag} must be at least 0", 1)
             elif isinstance(kind, tuple) and value not in kind:
                 _fail(f"{flag} takes one of {', '.join(kind)}, not '{value}'", 1)
             args[dest] = (*args[dest], value) if kind == "values" else value
@@ -253,8 +255,6 @@ def chain_plan(metamodel_path, transformation_paths, initial_spec, require, forb
     """Find a shortest transformation chain meeting the goal, or exit 3."""
     from .chain import plan_chain
 
-    if max_len < 0:
-        _fail("--max-len must be at least 0", 1)
     mm, reports = _analyze_all(metamodel_path, transformation_paths)
     # Plan steps are named by module, so the names must tell the files apart.
     seen: dict[str, str] = {}

@@ -129,7 +129,7 @@ class TokenStream:
         """Step past an identifier and return its index."""
         i = self.pos
         text = self.texts[i]
-        if not (text[:1].isalpha() or is_ident(text)):  # most identifiers start with a letter: skip the call
+        if not is_ident(text):
             raise self.error(f"expected {what}, found {describe(text)}")
         self.pos = i + 1
         return i

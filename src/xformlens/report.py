@@ -15,9 +15,6 @@ from .metamodel import declaration_order
 # Table labels of the modes, in display order: the rarest mode comes
 # first, as in "lazily, cond.".
 _MODE_LABELS = {Mode.LAZILY: "lazily", Mode.CONDITIONALLY: "cond.", Mode.ALWAYS: "always"}
-# JSON lists a mode set in Mode's declaration order. A tuple, since
-# iterating the enum itself runs a generator on every call.
-_MODE_ORDER = tuple(Mode)
 
 
 class Table(namedtuple("Table", "title header rows", defaults=((),))):
@@ -47,8 +44,10 @@ def mode_set_label(modes: frozenset[Mode]) -> str:
     return ", ".join(label for m, label in _MODE_LABELS.items() if m in modes) or "never"
 
 
-def _pair_key(g: ProfileGroup) -> tuple[int, str, str]:
-    return (len(g.copy_modes), mode_set_label(g.copy_modes), mode_set_label(g.mutation_modes))
+def _group_key(g: ProfileGroup) -> tuple[int, str]:
+    """Fewer copy modes first, then by label: no label of a copy-mode set
+    is a prefix of another of its size, so the copy label decides first."""
+    return len(g.copy_modes), g.rendered_label
 
 
 def profile_groups(report: AnalysisReport) -> tuple[ProfileGroup, ...]:
@@ -58,16 +57,14 @@ def profile_groups(report: AnalysisReport) -> tuple[ProfileGroup, ...]:
     ignored table and get no group here.
     """
     buckets: dict[tuple[frozenset[Mode], frozenset[Mode]], list[str]] = {}
-    for c in report.source_concepts:
-        if c not in report.refined_domain:
-            continue
-        p = report.profiles[c]
-        buckets.setdefault((p.copy_modes, p.mutation_modes), []).append(c)
+    for c, p in report.profiles.items():
+        if c in report.refined_domain:
+            buckets.setdefault((p.copy_modes, p.mutation_modes), []).append(c)
     groups = [
         ProfileGroup(cm, mm, tuple(cs), f"Copy: {mode_set_label(cm)} / Mutation: {mode_set_label(mm)}")
         for (cm, mm), cs in buckets.items()
     ]
-    groups.sort(key=_pair_key)
+    groups.sort(key=_group_key)
     return tuple(groups)
 
 
@@ -97,7 +94,7 @@ def referenced_table(reports: Sequence[AnalysisReport]) -> Table:
     """
     per_report = [profile_groups(r) for r in reports]
     columns = {g.rendered_label: g for groups in per_report for g in groups}
-    labels = sorted(columns, key=lambda label: _pair_key(columns[label]))
+    labels = sorted(columns, key=lambda label: _group_key(columns[label]))
 
     rows = []
     for r, groups in zip(reports, per_report):
@@ -166,7 +163,7 @@ def _render_html(table: Table) -> str:
     return "\n".join(lines) + "\n"
 
 
-_LATEX_ESCAPES = {
+_LATEX_ESCAPES = str.maketrans({
     "\\": r"\textbackslash{}",
     "&": r"\&",
     "%": r"\%",
@@ -177,20 +174,16 @@ _LATEX_ESCAPES = {
     "}": r"\}",
     "~": r"\textasciitilde{}",
     "^": r"\textasciicircum{}",
-}
-
-
-def _latex_escape(s: str) -> str:
-    return "".join(_LATEX_ESCAPES.get(ch, ch) for ch in s)
+})
 
 
 def _render_latex(table: Table) -> str:
     def row(cells: tuple[str, ...]) -> str:
-        return "&".join(_latex_escape(c) for c in cells) + "\\\\"
+        return "&".join(c.translate(_LATEX_ESCAPES) for c in cells) + "\\\\"
 
     spec = "|" + "c|" * len(table.header)
     lines = [
-        f"% {_latex_escape(table.title)}",
+        f"% {table.title.translate(_LATEX_ESCAPES)}",
         f"\\begin{{tabular}}{{{spec}}}",
         "\\hline",
         row(table.header),
@@ -267,7 +260,7 @@ def report_to_json(report: AnalysisReport) -> str:
         return _json_block("[]", [q(n) for n in names], indent)
 
     def modes(values: frozenset[Mode]) -> str:
-        return strings([m.value for m in _MODE_ORDER if m in values], "      ")
+        return strings([m.value for m in Mode if m in values], "      ")
 
     src = declaration_order(report.source_concepts)
     tgt = declaration_order(report.target_concepts)

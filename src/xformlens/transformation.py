@@ -23,11 +23,8 @@ class ConceptRef(namedtuple("ConceptRef", "metamodel name line column")):
         return f"{self.metamodel}!{self.name}"
 
 
-class Expression(namedtuple("Expression", "raw refs", defaults=((),))):
-    """An opaque expression: `raw` source text (str) plus the concept refs
-    extracted from it (tuple[ConceptRef, ...])."""
-
-    __slots__ = ()
+# An opaque expression: raw: str, its source text; refs: tuple[ConceptRef, ...], the refs in it
+Expression = namedtuple("Expression", "raw refs", defaults=((),))
 
 
 # feature: str; value: Expression
@@ -198,8 +195,6 @@ def _expression(ts: TokenStream, start: int, stop: int) -> Expression:
     if "!" in raw:  # without a `!` the run names no concept: skip the walk
         texts = ts.texts
         for i in range(start + 1, stop - 1):
-            if texts[i] == "!":  # most names start with a letter: skip the call, as `expect_ident` does
-                mm, name = texts[i - 1], texts[i + 1]
-                if (mm[:1].isalpha() or is_ident(mm)) and (name[:1].isalpha() or is_ident(name)):
-                    refs.append(ConceptRef(mm, name, *ts.position(i - 1)))
+            if texts[i] == "!" and is_ident(texts[i - 1]) and is_ident(texts[i + 1]):
+                refs.append(ConceptRef(texts[i - 1], texts[i + 1], *ts.position(i - 1)))
     return Expression(raw, tuple(refs))

@@ -435,10 +435,16 @@ def test_chain_plan_rejects_overlapping_goals(cli, corpus_args):
 
 
 def test_chain_plan_rejects_negative_max_len(cli, corpus_args):
-    result = cli(["chain-plan", *corpus_args, "--max-len", "-3"])
-    assert result.exit_code == 1
-    assert result.out == ""
-    assert result.err == "error: --max-len must be at least 0\n"
+    for value in ("-3", "-1"):
+        result = cli(["chain-plan", *corpus_args, "--max-len", value])
+        assert result.exit_code == 1
+        assert result.out == ""
+        assert result.err == "error: --max-len must be at least 0\n"
+
+
+def test_chain_plan_accepts_max_len_zero(cli, corpus_args):
+    # Zero steps leave the initial set, which holds Class.
+    assert cli(["chain-plan", *corpus_args, "--max-len", "0", "--forbid", "Class"]) == (3, "no plan\n", "")
 
 
 def test_chain_plan_rejects_duplicate_transformation_names(cli, corpus_args, tmp_path):

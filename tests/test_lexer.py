@@ -1,10 +1,13 @@
 """Shared lexer: token kinds, positions, comments, and contextual keywords."""
 from __future__ import annotations
 
+import re
+import sys
+
 import pytest
 
 from xformlens import ParseError, parse_metamodel, parse_transformation
-from xformlens.lexer import TokenStream, tokenize
+from xformlens.lexer import _TOKEN, TokenStream, is_ident, tokenize
 
 from helpers import CORPUS, lexed, named, reference_tokenize
 
@@ -147,6 +150,17 @@ def test_non_decimal_numeric_characters_begin_identifiers():
         ("ident", "²", 1, 7, 6),
         ("eof", "", 1, 8, 7),
     ]
+
+
+def test_is_ident_agrees_with_the_lexers_identifier_alternative_on_every_code_point():
+    # The parsers judge a token an identifier by is_ident; the lexer by this alternative of _TOKEN.
+    alternative = r"[^\W\d]\w*"
+    assert f"|{alternative}|" in _TOKEN.pattern
+    starts_ident = re.compile(alternative).match
+    mismatches = [
+        f"U+{cp:04X}" for cp in range(sys.maxunicode + 1) if is_ident(chr(cp)) != bool(starts_ident(chr(cp)))
+    ]
+    assert mismatches == []
 
 
 _HEADER = "module t;\ncreate OUT : M from IN : M;\n"

@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import json
+from itertools import combinations, product
 
 import pytest
 
 from xformlens import (
+    AnalysisReport,
+    ConceptProfile,
     Mode,
     Table,
     analyze,
@@ -139,6 +142,17 @@ def test_profile_groups_cover_refined_domain_only(reports):
     for group in groups:
         assert group.rendered_label.startswith("Copy: ")
         assert " / Mutation: " in group.rendered_label
+
+
+def test_profile_groups_come_in_the_referenced_tables_column_order():
+    # One concept per copy/mutation mode-set pair, declared in the reverse of the display order.
+    mode_sets = [frozenset(c) for n in range(len(Mode) + 1) for c in combinations(Mode, n)]
+    pairs = sorted(product(mode_sets, mode_sets), key=lambda p: (len(p[0]), *map(mode_set_label, p)), reverse=True)
+    profiles = {f"C{i}": ConceptProfile(cm, mm) for i, (cm, mm) in enumerate(pairs)}
+    report = AnalysisReport("t", "M", "M", profiles, (), frozenset(), frozenset(), frozenset(profiles), frozenset())
+    groups = profile_groups(report)
+    assert [(g.copy_modes, g.mutation_modes) for g in groups] == pairs[::-1]
+    assert tuple(g.rendered_label for g in groups) == referenced_table([report]).header[1:]
 
 
 def test_referenced_table_header_and_cells(reports):
