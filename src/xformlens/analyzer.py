@@ -8,10 +8,11 @@ refined domain and codomain, a fixed-point verdict, and diagnostics.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from enum import Enum
 
 from .lexer import one_line
-from .metamodel import Metamodel, concrete_concepts, declaration_order
+from .metamodel import Metamodel, declaration_order, metamodel_facts
 from .transformation import ConceptRef, Rule, Transformation
 
 
@@ -38,17 +39,21 @@ ConceptProfile = namedtuple(
 Lint = namedtuple("Lint", "kind subject message file line column", defaults=(None, None, None))
 
 
-def lint_text(d: Lint, kind: str | None = None, fallback: str | None = None) -> str:
-    """Format a diagnostic as `file:line:column: kind: message`.
+def lint_lines(
+    diagnostics: Sequence[Lint], fallback: str | None = None, kinds: Mapping[str, str] | None = None
+) -> list[str]:
+    """Format each diagnostic as `file:line:column: kind: message`.
 
     An unpositioned diagnostic is prefixed by `fallback` instead, or by
-    nothing. `kind`, when given, is shown in place of d.kind.
+    nothing. A kind that `kinds` maps is shown as the text it maps to.
     """
-    where = fallback
-    if d.file is not None and d.line is not None:
-        where = f"{one_line(d.file)}:{d.line}:{d.column}"  # messages name identifiers: no line breaks
-    prefix = "" if where is None else f"{where}: "
-    return f"{prefix}{kind or d.kind}: {d.message}"
+    bare = "" if fallback is None else f"{fallback}: "
+    kinds = kinds or {}
+    lines = []
+    for kind, _, message, file, line, column in diagnostics:
+        where = bare if file is None or line is None else f"{one_line(file)}:{line}:{column}: "
+        lines.append(f"{where}{kinds.get(kind, kind)}: {message}")  # messages name identifiers: no line breaks
+    return lines
 
 
 class FixedPointVerdict(namedtuple("FixedPointVerdict", "flag explanation focal", defaults=((),))):
@@ -120,15 +125,13 @@ def analyze(
                 f"transformation '{t.name}' {verb} '{named}' but metamodel '{mm.name}' was supplied"
             )
 
-    source_concepts = concrete_concepts(source_mm)
-    target_concepts = concrete_concepts(target_mm)
-    source_concrete = frozenset(source_concepts)
-    target_concrete = frozenset(target_concepts)
+    source_concepts, source_concrete, source_names = metamodel_facts(source_mm)
+    target_concepts, target_concrete, target_names = metamodel_facts(target_mm)
 
     unknown: list[Lint] = []
     mentioned_source: set[str] = set()
     mentioned_target: set[str] = set()
-    concept_names = {source_mm.name: source_mm.concept_names, target_mm.name: target_mm.concept_names}
+    concept_names = {source_mm.name: source_names, target_mm.name: target_names}
     # A scope maps each qualifier that may resolve to the set its mentions
     # are recorded in. The source entry comes last so that it wins in an
     # endogenous module; in an exogenous one, expression refs to the
@@ -197,22 +200,26 @@ def analyze(
             frozenset(copy_modes), frozenset(mutation_modes), target_concrete.intersection(produced_as)
         )
 
-    ignored_in = frozenset(c for c in source_concepts if c not in mentioned_source)
-    ignored_out = frozenset(c for c in target_concepts if c not in mentioned_target)
+    ignored_in = source_concrete - mentioned_source
+    ignored_out = target_concrete - mentioned_target
 
+    # One Lint per concept, thousands on a wide metamodel: each is built by
+    # tuple.__new__, without the namedtuple's Python-level __new__.
+    new = tuple.__new__
     diagnostics = sorted(unknown, key=lambda l: (l.line, l.column))
     diagnostics += [
-        Lint("never_processed", c, f"concept '{c}' is referenced but never copied or mutated")
-        for c in source_concepts
-        if c in mentioned_source and c not in folded
+        new(Lint, ("never_processed", c, f"concept '{c}' is referenced but never copied or mutated", None, None, None))
+        for c in filter(mentioned_source.__contains__, source_concepts)
+        if c not in folded
     ]
     diagnostics += [
-        Lint("ignored_in", c, f"concept '{c}' appears in no source pattern, guard, binding, or helper body")
-        for c in source_concepts
-        if c in ignored_in
+        new(Lint, ("ignored_in", c, f"concept '{c}' appears in no source pattern, guard, binding, or helper body",
+                   None, None, None))
+        for c in filter(ignored_in.__contains__, source_concepts)
     ]
     diagnostics += [
-        Lint("ignored_out", c, f"concept '{c}' appears in no target pattern") for c in target_concepts if c in ignored_out
+        new(Lint, ("ignored_out", c, f"concept '{c}' appears in no target pattern", None, None, None))
+        for c in filter(ignored_out.__contains__, target_concepts)
     ]
 
     return AnalysisReport(

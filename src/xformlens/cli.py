@@ -10,9 +10,9 @@ import io
 import os
 import sys
 
-from .analyzer import MetamodelMismatchError, analyze as run_analysis, lint_text
+from .analyzer import MetamodelMismatchError, analyze as run_analysis, lint_lines
 from .lexer import ParseError, one_line
-from .metamodel import Metamodel, concrete_concepts, declaration_order, parse_metamodel
+from .metamodel import Metamodel, metamodel_facts, parse_metamodel
 from .transformation import parse_transformation
 
 # `report` and `chain` are imported by the commands that run them, so that
@@ -51,8 +51,8 @@ def _analyze_all(metamodel_path: str, transformation_paths: tuple[str, ...]):
 
 
 def _concept_set(spec: str, mm: Metamodel, option: str) -> frozenset[str]:
-    concrete = frozenset(concrete_concepts(mm))
-    if spec == "ALL":
+    _, concrete, _ = metamodel_facts(mm)
+    if spec.strip() == "ALL":
         return concrete
     names = [name for name in (raw.strip() for raw in spec.split(",")) if name]
     if not names:
@@ -64,7 +64,8 @@ def _concept_set(spec: str, mm: Metamodel, option: str) -> frozenset[str]:
 
 
 def _set_text(s: frozenset[str], mm: Metamodel) -> str:
-    return ", ".join(declaration_order(concrete_concepts(mm))(s))
+    ordered, _, _ = metamodel_facts(mm)
+    return ", ".join(filter(s.__contains__, ordered))
 
 
 class _ClosedStdout(io.TextIOBase):  # sys.stdout when fd 1 is closed, where Python leaves None
@@ -224,7 +225,7 @@ def lint(metamodel_path, transformation_paths, strict):
     """List diagnostics, one line each; print 'no findings' when clean."""
     mm, reports = _analyze_all(metamodel_path, transformation_paths)
     kinds = _PAINTED if os.environ.get("XFORMLENS_COLOR") == "1" else {}
-    lines = [lint_text(d, kind=kinds.get(d.kind), fallback=r.transformation) for r in reports for d in r.diagnostics]
+    lines = [line for r in reports for line in lint_lines(r.diagnostics, r.transformation, kinds)]
     unknown = strict and any(d.kind == "unknown_concept" for r in reports for d in r.diagnostics)
     return "\n".join(lines or ["no findings"]) + "\n", 2 if unknown else 0
 

@@ -93,15 +93,20 @@ def _parse_feature(ts: TokenStream) -> Feature:
 def _validate_inheritance(
     ts: TokenStream, declared_at: dict[str, int], super_refs: list[tuple[str, str, int]]
 ) -> None:
+    for owner, supertype, st in super_refs:
+        if supertype not in declared_at:
+            raise ts.error(f"unknown supertype '{supertype}' of concept '{owner}'", st)
+    # An edge to a supertype declared earlier points back in declaration order,
+    # and edges that all do cannot close a cycle.
+    if all(declared_at[supertype] < declared_at[owner] for owner, supertype, _ in super_refs):
+        return
     # graphlib walks nodes, and each node's successors (here its supertypes),
     # in insertion order and without recursion, so a deep chain cannot exhaust
     # the stack. All concepts go in before any edge: the walk starts at the first.
     graph = TopologicalSorter()
     for name in declared_at:
         graph.add(name)
-    for owner, supertype, st in super_refs:
-        if supertype not in declared_at:
-            raise ts.error(f"unknown supertype '{supertype}' of concept '{owner}'", st)
+    for owner, supertype, _ in super_refs:
         graph.add(supertype, owner)
     try:
         graph.prepare()
@@ -113,6 +118,25 @@ def _validate_inheritance(
 def concrete_concepts(mm: Metamodel) -> tuple[str, ...]:
     """Names of non-abstract concepts, in declaration order."""
     return tuple(c.name for c in mm.concepts if not c.abstract)
+
+
+_last_facts: tuple = (None, None)  # the Metamodel that metamodel_facts saw last, and its facts
+
+
+def metamodel_facts(mm: Metamodel) -> tuple[tuple[str, ...], frozenset[str], frozenset[str]]:
+    """`mm`'s concrete concept names in declaration order, their set, and the names of all its concepts.
+
+    A run analyzes every transformation against one metamodel, so the facts are
+    derived again only when another Metamodel object is asked about. Records are
+    immutable, so the kept facts cannot go stale.
+    """
+    global _last_facts
+    seen, facts = _last_facts
+    if seen is not mm:
+        concrete = concrete_concepts(mm)
+        facts = concrete, frozenset(concrete), mm.concept_names
+        _last_facts = mm, facts
+    return facts
 
 
 def declaration_order(universe: Sequence[str]) -> Callable[[Collection[str]], list[str]]:

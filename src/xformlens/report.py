@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .analyzer import AnalysisReport, Mode, lint_text
+from .analyzer import AnalysisReport, Mode, lint_lines
 from .metamodel import declaration_order
 
 # Table labels of the modes, in display order: the rarest mode comes
@@ -128,8 +128,7 @@ def report_table(report: AnalysisReport) -> Table:
         ("refined codomain", ", ".join(tgt(report.refined_codomain))),
         ("fixed point candidate", "yes" if report.fixed_point_candidate else "no"),
     ]
-    for d in report.diagnostics:
-        rows.append(("diagnostic", lint_text(d)))
+    rows += [("diagnostic", line) for line in lint_lines(report.diagnostics)]
     return Table(f"report: {report.transformation}", ("field", "value"), tuple(rows))
 
 
@@ -264,22 +263,21 @@ def report_to_json(report: AnalysisReport) -> str:
 
     src = declaration_order(report.source_concepts)
     tgt = declaration_order(report.target_concepts)
-    # A profile entry's fields after its concept, written once per distinct
-    # profile and joined with the entry's own separator, so they are one item.
+    # A profile entry's fields after its concept, written once per distinct profile.
     tails = {
         p: f'"copy_modes": {modes(p.copy_modes)},\n      "mutation_modes": {modes(p.mutation_modes)},\n'
         f'      "produced_as": {strings(tgt(p.produced_as), "      ")}'
         for p in set(report.profiles.values())
     }
-    profiles = [_json_block("{}", [f'"concept": {q(c)}', tails[p]], "    ") for c, p in report.profiles.items()]
+    profiles = [f'{{\n      "concept": {q(c)},\n      {tails[p]}\n    }}' for c, p in report.profiles.items()]
     # A diagnostic's fields in Lint's order; a position field only when known.
     diagnostics = [
-        f'{{\n      "kind": {q(d.kind)},\n      "subject": {q(d.subject)},\n      "message": {q(d.message)}'
-        + ("" if d.file is None else f',\n      "file": {q(d.file)}')
-        + ("" if d.line is None else f',\n      "line": {d.line}')
-        + ("" if d.column is None else f',\n      "column": {d.column}')
+        f'{{\n      "kind": {q(kind)},\n      "subject": {q(subject)},\n      "message": {q(message)}'
+        + ("" if file is None else f',\n      "file": {q(file)}')
+        + ("" if line is None else f',\n      "line": {line}')
+        + ("" if column is None else f',\n      "column": {column}')
         + "\n    }"
-        for d in report.diagnostics
+        for kind, subject, message, file, line, column in report.diagnostics
     ]
     return _json_block(
         "{}",

@@ -116,6 +116,50 @@ def test_profiles_are_total_and_in_declaration_order(pivot, reports):
         assert len(report.profiles) == 20
 
 
+_FACTS_PROBE = """rule Split {{
+	from
+		s : {src}!Class (s.kind.oclIsTypeOf({src}!Enumeration))
+	to
+		t : {tgt}!Class(),
+		r : {tgt}!Record()
+}}
+
+rule Flatten {{
+	from
+		s : {src}!Variable
+	to
+		t : {tgt}!Record()
+}}"""
+
+
+def test_analyze_derives_each_metamodels_facts_afresh(pivot):
+    # analyze reuses what it derived from the metamodel object it saw last.
+    # Each call here differs from the one before it, so stale facts show as
+    # wrong profiles, ignored sets or unknown concepts.
+    narrowed = pivot._replace(concepts=tuple(
+        c._replace(abstract=True) if c.name == "Record" else c for c in pivot.concepts if c.name != "Enumeration"
+    ))
+    other = narrowed._replace(name="Other")
+    for source_mm, target_mm in (pivot, pivot), (narrowed, narrowed), (pivot, other), (pivot, pivot):
+        body = _FACTS_PROBE.format(src=source_mm.name, tgt=target_mm.name)
+        t = parse_transformation(wrap_rules(body, source_mm=source_mm.name, target_mm=target_mm.name))
+        report = analyze(t, source_mm, target_mm)
+        source_concrete = tuple(c.name for c in source_mm.concepts if not c.abstract)
+        target_concrete = tuple(c.name for c in target_mm.concepts if not c.abstract)
+        assert report.source_concepts == source_concrete
+        assert report.target_concepts == target_concrete
+        expected = naive_profiles(t, source_mm, target_mm)
+        profiles = {
+            c: ({m.value for m in p.copy_modes}, {m.value for m in p.mutation_modes}, set(p.produced_as))
+            for c, p in report.profiles.items()
+        }
+        assert profiles == {c: (copies, mutations, set(produced)) for c, (copies, mutations, produced) in expected.items()}
+        assert report.ignored_in == frozenset(source_concrete) - {"Class", "Variable", "Enumeration"}
+        assert report.ignored_out == frozenset(target_concrete) - {"Class", "Record"}
+        unknown = [d.subject for d in report.diagnostics if d.kind == "unknown_concept"]
+        assert unknown == ([] if source_mm is pivot else ["CPPivot!Enumeration"])
+
+
 def test_abstract_source_rule_contributes_nothing(pivot):
     report = analyze(
         parse_transformation(wrap_rules(LAZY_PARENT_STUB)), pivot, pivot

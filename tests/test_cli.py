@@ -26,7 +26,7 @@ from xformlens import (
     report_to_json,
 )
 from xformlens.cli import main
-from xformlens.report import lint_text
+from xformlens.report import lint_lines
 
 from helpers import CORPUS, fixture_corpus, subprocess_env, wrap_rules
 
@@ -203,7 +203,7 @@ def test_a_lone_cr_ends_a_line_in_the_cli_and_the_api_alike(cli, tmp_path, name)
     mm = parse_metamodel(mm_path.read_text(encoding="utf-8"))
     try:
         reports = [analyze(parse_transformation(source, path=str(path)), mm, mm)]
-        api = ("".join(f"{lint_text(d, fallback=r.transformation)}\n" for r in reports for d in r.diagnostics), "")
+        api = ("".join(f"{line}\n" for r in reports for line in lint_lines(r.diagnostics, r.transformation)), "")
     except ParseError as exc:
         api = ("", f"error: {exc}\n")
     assert api == (out.format(path=path), err.format(path=path))
@@ -383,6 +383,18 @@ def test_chain_check_rejects_unknown_initial_concept(cli, corpus_args):
         "'Spirit' is not a concrete concept of metamodel 'CPPivot'"
         in result.err
     )
+
+
+@pytest.mark.parametrize("spec", [" ALL", "ALL ", " ALL\t"])
+def test_all_may_have_blanks_around_it_as_a_name_may(cli, corpus_args, spec):
+    check = cli(["chain-check", *corpus_args[:2], "--initial", spec])
+    assert check.exit_code == 0
+    assert check == cli(["chain-check", *corpus_args[:2], "--initial", "ALL"])
+    plan = cli(["chain-plan", *corpus_args, "--forbid", spec])
+    assert plan.exit_code == 3
+    assert plan == cli(["chain-plan", *corpus_args, "--forbid", "ALL"])
+    named = cli(["chain-check", *corpus_args[:2], "--initial", " Class , Record"])
+    assert named == cli(["chain-check", *corpus_args[:2], "--initial", "Class,Record"])
 
 
 @pytest.mark.parametrize("value", ["", ",", " , "], ids=["empty", "comma", "blank-comma"])

@@ -295,12 +295,17 @@ _LEXICAL = " \t\r\n-<>.'!(;a_1²½é"
 
 
 @given(st.text() | st.text(alphabet=_LEXICAL))
+@example("\ufeff")
+@example("\ufeff\ufeff")
 @settings(deadline=None)
 def test_tokens_tile_the_source(source):
     try:
         ts = TokenStream(source)
     except ParseError:
         return
+    # The stream drops one leading byte order mark, and its tokens tile what is left.
+    assert ts.source == source.removeprefix("\ufeff")
+    source = ts.source
     end = 0
     for i, (text, offset) in enumerate(zip(ts.texts, ts.texts.starts)):
         assert source.startswith(text, offset)
