@@ -48,12 +48,12 @@ def lint_lines(
     nothing. A kind that `kinds` maps is shown as the text it maps to.
     """
     bare = "" if fallback is None else f"{fallback}: "
-    kinds = kinds or {}
-    lines = []
-    for kind, _, message, file, line, column in diagnostics:
-        where = bare if file is None or line is None else f"{one_line(file)}:{line}:{column}: "
-        lines.append(f"{where}{kinds.get(kind, kind)}: {message}")  # messages name identifiers: no line breaks
-    return lines
+    shown = (kinds or {}).get
+    return [  # messages name identifiers: no line breaks
+        f"{bare if file is None or line is None else f'{one_line(file)}:{line}:{column}: '}"
+        f"{shown(kind, kind)}: {message}"
+        for kind, _, message, file, line, column in diagnostics
+    ]
 
 
 class FixedPointVerdict(namedtuple("FixedPointVerdict", "flag explanation focal", defaults=((),))):
@@ -88,8 +88,8 @@ class AnalysisReport(
 
     @property
     def fixed_point_candidate(self) -> bool:
-        """True when the report is endogenous and detect_fixed_point holds."""
-        return self.source_mm == self.target_mm and bool(detect_fixed_point(self))
+        """True when the report is endogenous and detect_fixed_point holds; no explanation is built."""
+        return self.source_mm == self.target_mm and bool(_fixed_point_verdict(self))
 
 
 def classify_rule(rule: Rule) -> RuleClassification:
@@ -250,22 +250,19 @@ def detect_fixed_point(report: AnalysisReport) -> FixedPointVerdict:
             f"'{report.transformation}' maps '{report.source_mm}' "
             f"to '{report.target_mm}'"
         )
-    if report.refined_domain != report.refined_codomain:
-        domain_only = declaration_order(report.source_concepts)(
-            report.refined_domain - report.refined_codomain
-        )
-        codomain_only = declaration_order(report.target_concepts)(
-            report.refined_codomain - report.refined_domain
-        )
-        parts = []
-        if domain_only:
-            parts.append("domain only: " + ", ".join(domain_only))
-        if codomain_only:
-            parts.append("codomain only: " + ", ".join(codomain_only))
-        return FixedPointVerdict(
-            False, "refined domain and refined codomain differ (" + "; ".join(parts) + ")"
-        )
+    verdict = _fixed_point_verdict(report)
+    if verdict is not None:
+        return verdict
+    dom, cod = report.refined_domain, report.refined_codomain
+    sides = ("domain", report.source_concepts, dom - cod), ("codomain", report.target_concepts, cod - dom)
+    parts = [f"{side} only: " + ", ".join(declaration_order(universe)(only)) for side, universe, only in sides if only]
+    return FixedPointVerdict(False, "refined domain and refined codomain differ (" + "; ".join(parts) + ")")
 
+
+def _fixed_point_verdict(report: AnalysisReport) -> FixedPointVerdict | None:
+    """detect_fixed_point's verdict, or None when the refined domain and codomain differ."""
+    if report.refined_domain != report.refined_codomain:
+        return None
     focal = tuple(
         c
         for c, p in report.profiles.items()

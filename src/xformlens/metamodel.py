@@ -140,13 +140,22 @@ def metamodel_facts(mm: Metamodel) -> tuple[tuple[str, ...], frozenset[str], fro
 
 
 def declaration_order(universe: Sequence[str]) -> Callable[[Collection[str]], list[str]]:
-    """Return a function listing a subset of universe in universe's order.
+    """Return a function listing a subset (a set) of universe in universe's order.
 
-    The name-to-index map is built once, so listing many sets against one
-    universe costs each set only its own size.
+    A set holding over a third of the universe is listed by one walk of the
+    universe; a smaller one is sorted by a name-to-index map, built on the
+    first such set, so that each costs only its own size.
     """
-    rank = dict(zip(universe, range(len(universe))))
-    return lambda names: sorted(names, key=rank.__getitem__)
+    rank = {}
+
+    def order(names: Collection[str]) -> list[str]:
+        if 3 * len(names) > len(universe):
+            return list(filter(names.__contains__, universe))
+        if not rank:
+            rank.update(zip(universe, range(len(universe))))
+        return sorted(names, key=rank.__getitem__)
+
+    return order
 
 
 def pretty_print(mm: Metamodel) -> str:

@@ -26,9 +26,9 @@ class Table(namedtuple("Table", "title header rows", defaults=((),))):
     __slots__ = ()
 
     def __new__(cls, title, header, rows=()):
-        for row in rows:
-            if len(row) != len(header):
-                raise ValueError(f"row arity {len(row)} does not match header arity {len(header)}")
+        if not set(map(len, rows)) <= {len(header)}:
+            bad = next(filter(len(header).__ne__, map(len, rows)))  # the first wrong arity
+            raise ValueError(f"row arity {bad} does not match header arity {len(header)}")
         return super().__new__(cls, title, header, rows)
 
     @classmethod
@@ -133,14 +133,10 @@ def report_table(report: AnalysisReport) -> Table:
 
 
 def _render_markdown(table: Table) -> str:
-    def row(cells: tuple[str, ...]) -> str:
-        return "| " + " | ".join(c.replace("|", "\\|") for c in cells) + " |"
-
-    lines = [f"### {table.title}", ""]
-    lines.append(row(table.header))
-    lines.append("| " + " | ".join("---" for _ in table.header) + " |")
-    lines.extend(row(r) for r in table.rows)
-    return "\n".join(lines) + "\n"
+    rows = (table.header, ("---",) * len(table.header), *table.rows)
+    if "|" in "".join(map("".join, rows)):  # escape only when some cell holds a pipe
+        rows = [[c.replace("|", "\\|") for c in r] for r in rows]
+    return f"### {table.title}\n\n| " + " |\n| ".join(map(" | ".join, rows)) + " |\n"
 
 
 def _render_html(table: Table) -> str:
@@ -214,8 +210,7 @@ def render(table: Table, fmt: str) -> str:
 def render_reports(reports: Sequence[AnalysisReport], fmt: str) -> str:
     """The `analyze` output: a JSON array, or the ignored and referenced tables then one table per report."""
     if fmt == "json":
-        # No string in ensure_ascii JSON holds a raw newline: indenting every line nests a report.
-        return _json_block("[]", [report_to_json(r).replace("\n", "\n  ") for r in reports], "") + "\n"
+        return _json_block("[]", [report_to_json(r, "  ") for r in reports], "") + "\n"
     parts = [render(ignored_table(reports), fmt), render(referenced_table(reports), fmt)]
     parts.extend(render(report_table(r), fmt) for r in reports)
     return "\n".join(parts)
@@ -250,33 +245,36 @@ def _json_block(brackets: str, items: list[str], indent: str) -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
-def report_to_json(report: AnalysisReport) -> str:
+def report_to_json(report: AnalysisReport, indent: str = "") -> str:
     """The report's JSON text in the documented shape, byte for byte as
-    json.dumps(..., indent=2) lays it out; json.loads gives the dict."""
+    json.dumps(..., indent=2) lays it out with every line after the first
+    prefixed by `indent`, its depth in an enclosing array; json.loads gives the dict."""
     from json.encoder import encode_basestring_ascii as q  # json.dumps's escaper under ensure_ascii
 
-    def strings(names: list[str], indent: str) -> str:
-        return _json_block("[]", [q(n) for n in names], indent)
+    i1, i2, i3 = indent + "  ", indent + "    ", indent + "      "
+
+    def strings(names: list[str], at: str) -> str:
+        return _json_block("[]", [q(n) for n in names], at)
 
     def modes(values: frozenset[Mode]) -> str:
-        return strings([m.value for m in Mode if m in values], "      ")
+        return strings([m.value for m in Mode if m in values], i3)
 
     src = declaration_order(report.source_concepts)
     tgt = declaration_order(report.target_concepts)
     # A profile entry's fields after its concept, written once per distinct profile.
     tails = {
-        p: f'"copy_modes": {modes(p.copy_modes)},\n      "mutation_modes": {modes(p.mutation_modes)},\n'
-        f'      "produced_as": {strings(tgt(p.produced_as), "      ")}'
+        p: f'"copy_modes": {modes(p.copy_modes)},\n{i3}"mutation_modes": {modes(p.mutation_modes)},\n'
+        f'{i3}"produced_as": {strings(tgt(p.produced_as), i3)}'
         for p in set(report.profiles.values())
     }
-    profiles = [f'{{\n      "concept": {q(c)},\n      {tails[p]}\n    }}' for c, p in report.profiles.items()]
+    profiles = [f'{{\n{i3}"concept": {q(c)},\n{i3}{tails[p]}\n{i2}}}' for c, p in report.profiles.items()]
     # A diagnostic's fields in Lint's order; a position field only when known.
     diagnostics = [
-        f'{{\n      "kind": {q(kind)},\n      "subject": {q(subject)},\n      "message": {q(message)}'
-        + ("" if file is None else f',\n      "file": {q(file)}')
-        + ("" if line is None else f',\n      "line": {line}')
-        + ("" if column is None else f',\n      "column": {column}')
-        + "\n    }"
+        f'{{\n{i3}"kind": {q(kind)},\n{i3}"subject": {q(subject)},\n{i3}"message": {q(message)}'
+        + ("" if file is None else f',\n{i3}"file": {q(file)}')
+        + ("" if line is None else f',\n{i3}"line": {line}')
+        + ("" if column is None else f',\n{i3}"column": {column}')
+        + f"\n{i2}}}"
         for kind, subject, message, file, line, column in report.diagnostics
     ]
     return _json_block(
@@ -285,13 +283,13 @@ def report_to_json(report: AnalysisReport) -> str:
             f'"transformation": {q(report.transformation)}',
             f'"source_mm": {q(report.source_mm)}',
             f'"target_mm": {q(report.target_mm)}',
-            f'"ignored_in": {strings(src(report.ignored_in), "  ")}',
-            f'"ignored_out": {strings(tgt(report.ignored_out), "  ")}',
-            f'"refined_domain": {strings(src(report.refined_domain), "  ")}',
-            f'"refined_codomain": {strings(tgt(report.refined_codomain), "  ")}',
+            f'"ignored_in": {strings(src(report.ignored_in), i1)}',
+            f'"ignored_out": {strings(tgt(report.ignored_out), i1)}',
+            f'"refined_domain": {strings(src(report.refined_domain), i1)}',
+            f'"refined_codomain": {strings(tgt(report.refined_codomain), i1)}',
             f'"fixed_point_candidate": {"true" if report.fixed_point_candidate else "false"}',
-            f'"profiles": {_json_block("[]", profiles, "  ")}',
-            f'"diagnostics": {_json_block("[]", diagnostics, "  ")}',
+            f'"profiles": {_json_block("[]", profiles, i1)}',
+            f'"diagnostics": {_json_block("[]", diagnostics, i1)}',
         ],
-        "",
+        indent,
     )

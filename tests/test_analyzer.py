@@ -401,6 +401,33 @@ def test_fixed_point_explanations(reports):
     )
 
 
+_DIFFER = "refined domain and refined codomain differ "
+
+
+# Every corpus verdict in full, and a report whose sets differ both ways.
+# `fixed_point_candidate` takes the same decision without the explanation.
+@pytest.mark.parametrize(
+    ("name", "verdict"),
+    [
+        ("classInstantiation", (False, _DIFFER + "(domain only: Class)", ())),
+        ("enumRemoval", (False, _DIFFER + "(domain only: EnumLiteral, Enumeration)", ())),
+        ("forallRemoval", (True, "refined codomain equals refined domain and mutation is confined to focal"
+                           " concepts: Forall, IndexVariable, VariableExpr", ("Forall", "IndexVariable", "VariableExpr"))),
+        ("recordRemoval", (False, _DIFFER + "(domain only: Record)", ())),
+        ("uselessIfRemoval", (False, "no concept is both conditionally or lazily copied and conditionally mutated", ())),
+        ("probe", (False, _DIFFER + "(domain only: Class; codomain only: Record)", ())),
+    ],
+)
+def test_fixed_point_verdicts_and_candidates(pivot, reports, name, verdict):
+    if name == "probe":
+        body = "rule R {\n\tfrom\n\t\ts : CPPivot!Class\n\tto\n\t\tt : CPPivot!Record()\n}"
+        report = analyze(parse_transformation(wrap_rules(body)), pivot, pivot)
+    else:
+        report = reports[name]
+    assert tuple(detect_fixed_point(report)) == verdict
+    assert report.fixed_point_candidate is verdict[0]
+
+
 @pytest.mark.parametrize("mutation", ["rule", "lazy rule"], ids=["always", "lazily"])
 def test_fixed_point_needs_a_conditional_mutation(pivot, mutation):
     # BoolVal is conditionally copied but mutated only always or lazily, so

@@ -31,6 +31,7 @@ from xformlens import (
 )
 from xformlens.cli import COMMANDS, main
 from xformlens.lexer import TokenStream
+from xformlens.metamodel import declaration_order
 from xformlens.report import render_reports
 
 from helpers import (
@@ -235,6 +236,30 @@ def test_report_to_json_writes_what_json_dumps_writes(report):
 def test_analyze_json_writes_what_json_dumps_writes(reports):
     expected = json.dumps([reference_report_dict(r) for r in reports], indent=2) + "\n"
     assert render_reports(reports, "json") == expected
+
+
+@st.composite
+def universes_and_subsets(draw):
+    """A universe of distinct names and subsets of it of size 0, 1, up to a third, any, and all."""
+    universe = draw(st.lists(st.text(max_size=3), unique=True, max_size=40))
+    subsets = []
+    for size in draw(st.lists(st.sampled_from(["none", "one", "small", "any", "all"]), min_size=1, max_size=6)):
+        k = {"none": 0, "one": min(1, len(universe)), "all": len(universe)}.get(size)
+        if k is None:
+            k = draw(st.integers(0, len(universe) // 3 if size == "small" else len(universe)))
+        subsets.append(frozenset(draw(st.permutations(universe))[:k]))
+    return universe, subsets
+
+
+# One order function serves every subset, so a rank map built for an early
+# small set is reused by later ones, and walks and sorts alternate.
+@given(universes_and_subsets())
+@settings(deadline=None)
+def test_declaration_order_lists_a_subset_in_universe_order(case):
+    universe, subsets = case
+    order = declaration_order(universe)
+    for names in subsets:
+        assert order(names) == [c for c in universe if c in names]
 
 
 # Text built from the lexer's edge cases: quotes, comments and the

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import json
+import sys
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from xformlens import (
     Table,
     analyze,
     ignored_table,
+    parse_metamodel,
     parse_transformation,
     profile_groups,
     referenced_table,
@@ -26,6 +29,8 @@ from xformlens.cli import COMMANDS
 from xformlens.report import FORMATS, mode_set_label, render_reports
 
 from helpers import wrap_rules
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_mode_set_label_display_order():
@@ -48,6 +53,11 @@ def test_table_arity_is_validated():
         Table("t", ("a", "b"), (("only",),))
     with pytest.raises(ValueError):
         Table("t", ("a", "b"))._replace(rows=(("only",),))
+    # The message names the first bad row's arity, not a later one's.
+    with pytest.raises(ValueError, match=r"^row arity 3 does not match header arity 2$"):
+        Table("t", ("a", "b"), (("x", "y"), ("1", "2", "3"), ("only",)))
+    with pytest.raises(ValueError, match=r"^row arity 1 does not match header arity 2$"):
+        Table("t", ("a", "b"), (("x", "y"), ("only",), ("1", "2", "3")))
 
 
 def test_markdown_render_escapes_pipes():
@@ -61,6 +71,14 @@ def test_markdown_render_escapes_pipes():
         "| x\\|y | z |",
     ]
     assert text.endswith("\n")
+
+    # Only a late body row holds a pipe: every cell is still checked.
+    table = Table("Late", ("a", "b"), (("p", "q"), ("r", "s"), ("t", "u|v")))
+    assert render(table, "markdown") == "### Late\n\n| a | b |\n| --- | --- |\n| p | q |\n| r | s |\n| t | u\\|v |\n"
+
+    # No cell holds one: the text is as laid out, and a backslash stays single.
+    table = Table("Plain \\ |", ("a\\b", "c"), (("d", "e\\"),))
+    assert render(table, "markdown") == "### Plain \\ |\n\n| a\\b | c |\n| --- | --- |\n| d | e\\ |\n"
 
 
 def test_html_render_escapes_markup():
@@ -285,13 +303,30 @@ def test_analyze_json_calls_report_to_json_once_per_report(reports, monkeypatch)
     expected = render_reports(corpus, "json")
     calls = []
 
-    def counting(report):
+    def counting(report, *depth):
         calls.append(report)
-        return report_to_json(report)
+        return report_to_json(report, *depth)
 
     monkeypatch.setattr(report_module, "report_to_json", counting)
     assert render_reports(corpus, "json") == expected
     assert calls == corpus
+
+
+def test_report_to_json_at_a_depth_indents_every_later_line(reports):
+    # No string in ensure_ascii JSON holds a raw newline, so indenting each
+    # line after the first is what writing the report at a depth must give.
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    files = workloads.build("wide-metamodel", ROOT, 1).files
+    (mm_text,) = (text for path, text in files.items() if path.endswith(".cmm"))
+    tfm_path = min(path for path in files if path.endswith(".tfm"))
+    mm = parse_metamodel(mm_text)
+    wide = analyze(parse_transformation(files[tfm_path], path=tfm_path), mm, mm)
+    assert len(wide.diagnostics) > 1000
+    for report in [*reports.values(), wide]:
+        assert report_to_json(report, "  ") == report_to_json(report).replace("\n", "\n  ")
+        assert report_to_json(report, "") == report_to_json(report)
 
 
 def test_report_to_json_omits_absent_positions(reports):
