@@ -88,8 +88,8 @@ class AnalysisReport(
 
     @property
     def fixed_point_candidate(self) -> bool:
-        """True when the report is endogenous and detect_fixed_point holds; no explanation is built."""
-        return self.source_mm == self.target_mm and bool(_fixed_point_verdict(self))
+        """True when the report is endogenous and detect_fixed_point holds."""
+        return self.source_mm == self.target_mm and bool(detect_fixed_point(self))
 
 
 def classify_rule(rule: Rule) -> RuleClassification:
@@ -209,17 +209,17 @@ def analyze(
     diagnostics = sorted(unknown, key=lambda l: (l.line, l.column))
     diagnostics += [
         new(Lint, ("never_processed", c, f"concept '{c}' is referenced but never copied or mutated", None, None, None))
-        for c in filter(mentioned_source.__contains__, source_concepts)
+        for c in declaration_order(mentioned_source, source_concepts)
         if c not in folded
     ]
     diagnostics += [
         new(Lint, ("ignored_in", c, f"concept '{c}' appears in no source pattern, guard, binding, or helper body",
                    None, None, None))
-        for c in filter(ignored_in.__contains__, source_concepts)
+        for c in declaration_order(ignored_in, source_concepts)
     ]
     diagnostics += [
         new(Lint, ("ignored_out", c, f"concept '{c}' appears in no target pattern", None, None, None))
-        for c in filter(ignored_out.__contains__, target_concepts)
+        for c in declaration_order(ignored_out, target_concepts)
     ]
 
     return AnalysisReport(
@@ -250,19 +250,11 @@ def detect_fixed_point(report: AnalysisReport) -> FixedPointVerdict:
             f"'{report.transformation}' maps '{report.source_mm}' "
             f"to '{report.target_mm}'"
         )
-    verdict = _fixed_point_verdict(report)
-    if verdict is not None:
-        return verdict
     dom, cod = report.refined_domain, report.refined_codomain
-    sides = ("domain", report.source_concepts, dom - cod), ("codomain", report.target_concepts, cod - dom)
-    parts = [f"{side} only: " + ", ".join(declaration_order(universe)(only)) for side, universe, only in sides if only]
-    return FixedPointVerdict(False, "refined domain and refined codomain differ (" + "; ".join(parts) + ")")
-
-
-def _fixed_point_verdict(report: AnalysisReport) -> FixedPointVerdict | None:
-    """detect_fixed_point's verdict, or None when the refined domain and codomain differ."""
-    if report.refined_domain != report.refined_codomain:
-        return None
+    if dom != cod:
+        sides = ("domain", report.profiles, dom - cod), ("codomain", report.target_concepts, cod - dom)
+        parts = [f"{side} only: " + ", ".join(declaration_order(only, universe)) for side, universe, only in sides if only]
+        return FixedPointVerdict(False, "refined domain and refined codomain differ (" + "; ".join(parts) + ")")
     focal = tuple(
         c
         for c, p in report.profiles.items()

@@ -11,6 +11,7 @@ from collections import deque, namedtuple
 from collections.abc import Iterable, Sequence
 
 from .analyzer import AnalysisReport
+from .metamodel import declaration_order
 
 
 class ChainCompatibilityError(ValueError):
@@ -71,9 +72,7 @@ def check_chain(
     warnings: list[list[str]] = [[] for _ in chain]
     for i, report in enumerate(chain):
         introduced = outputs[i] - inputs[i]
-        for c in report.target_concepts:
-            if c not in introduced:
-                continue
+        for c in declaration_order(introduced, report.target_concepts):
             for j in range(i + 1, len(chain)):
                 if c not in outputs[j]:
                     warnings[i].append(

@@ -12,7 +12,7 @@ import sys
 
 from .analyzer import MetamodelMismatchError, analyze as run_analysis, lint_lines
 from .lexer import ParseError, one_line
-from .metamodel import Metamodel, metamodel_facts, parse_metamodel
+from .metamodel import Metamodel, declaration_order, metamodel_facts, parse_metamodel
 from .transformation import parse_transformation
 
 # `report` and `chain` are imported by the commands that run them, so that
@@ -64,8 +64,7 @@ def _concept_set(spec: str, mm: Metamodel, option: str) -> frozenset[str]:
 
 
 def _set_text(s: frozenset[str], mm: Metamodel) -> str:
-    ordered, _, _ = metamodel_facts(mm)
-    return ", ".join(filter(s.__contains__, ordered))
+    return ", ".join(declaration_order(s, metamodel_facts(mm)[0]))
 
 
 class _ClosedStdout(io.TextIOBase):  # sys.stdout when fd 1 is closed, where Python leaves None

@@ -7,7 +7,7 @@ along, but only names, abstractness, and inheritance matter to analysis.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Collection, Sequence
+from collections.abc import Collection, Iterable
 from graphlib import CycleError, TopologicalSorter
 
 from .lexer import TokenStream, capture_balanced, describe
@@ -139,23 +139,9 @@ def metamodel_facts(mm: Metamodel) -> tuple[tuple[str, ...], frozenset[str], fro
     return facts
 
 
-def declaration_order(universe: Sequence[str]) -> Callable[[Collection[str]], list[str]]:
-    """Return a function listing a subset (a set) of universe in universe's order.
-
-    A set holding over a third of the universe is listed by one walk of the
-    universe; a smaller one is sorted by a name-to-index map, built on the
-    first such set, so that each costs only its own size.
-    """
-    rank = {}
-
-    def order(names: Collection[str]) -> list[str]:
-        if 3 * len(names) > len(universe):
-            return list(filter(names.__contains__, universe))
-        if not rank:
-            rank.update(zip(universe, range(len(universe))))
-        return sorted(names, key=rank.__getitem__)
-
-    return order
+def declaration_order(names: Collection[str], universe: Iterable[str]) -> list[str]:
+    """The members of `names` (a set) in `universe`'s order, such as a metamodel's declaration order."""
+    return list(filter(names.__contains__, universe))
 
 
 def pretty_print(mm: Metamodel) -> str:

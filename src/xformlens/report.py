@@ -74,8 +74,8 @@ def ignored_table(reports: Sequence[AnalysisReport]) -> Table:
         rows.append(
             (
                 r.transformation,
-                ", ".join(declaration_order(r.source_concepts)(r.ignored_in)),
-                ", ".join(declaration_order(r.target_concepts)(r.ignored_out)),
+                ", ".join(declaration_order(r.ignored_in, r.profiles)),
+                ", ".join(declaration_order(r.ignored_out, r.target_concepts)),
             )
         )
     return Table(
@@ -117,15 +117,14 @@ def referenced_table(reports: Sequence[AnalysisReport]) -> Table:
 
 def report_table(report: AnalysisReport) -> Table:
     """Per-transformation summary table, diagnostics included."""
-    src = declaration_order(report.source_concepts)
-    tgt = declaration_order(report.target_concepts)
+    src, tgt = report.profiles, report.target_concepts
     rows = [
         ("source metamodel", report.source_mm),
         ("target metamodel", report.target_mm),
-        ("ignored in", ", ".join(src(report.ignored_in))),
-        ("ignored out", ", ".join(tgt(report.ignored_out))),
-        ("refined domain", ", ".join(src(report.refined_domain))),
-        ("refined codomain", ", ".join(tgt(report.refined_codomain))),
+        ("ignored in", ", ".join(declaration_order(report.ignored_in, src))),
+        ("ignored out", ", ".join(declaration_order(report.ignored_out, tgt))),
+        ("refined domain", ", ".join(declaration_order(report.refined_domain, src))),
+        ("refined codomain", ", ".join(declaration_order(report.refined_codomain, tgt))),
         ("fixed point candidate", "yes" if report.fixed_point_candidate else "no"),
     ]
     rows += [("diagnostic", line) for line in lint_lines(report.diagnostics)]
@@ -259,12 +258,11 @@ def report_to_json(report: AnalysisReport, indent: str = "") -> str:
     def modes(values: frozenset[Mode]) -> str:
         return strings([m.value for m in Mode if m in values], i3)
 
-    src = declaration_order(report.source_concepts)
-    tgt = declaration_order(report.target_concepts)
+    src, tgt = report.profiles, report.target_concepts
     # A profile entry's fields after its concept, written once per distinct profile.
     tails = {
         p: f'"copy_modes": {modes(p.copy_modes)},\n{i3}"mutation_modes": {modes(p.mutation_modes)},\n'
-        f'{i3}"produced_as": {strings(tgt(p.produced_as), i3)}'
+        f'{i3}"produced_as": {strings(declaration_order(p.produced_as, tgt), i3)}'
         for p in set(report.profiles.values())
     }
     profiles = [f'{{\n{i3}"concept": {q(c)},\n{i3}{tails[p]}\n{i2}}}' for c, p in report.profiles.items()]
@@ -283,10 +281,10 @@ def report_to_json(report: AnalysisReport, indent: str = "") -> str:
             f'"transformation": {q(report.transformation)}',
             f'"source_mm": {q(report.source_mm)}',
             f'"target_mm": {q(report.target_mm)}',
-            f'"ignored_in": {strings(src(report.ignored_in), i1)}',
-            f'"ignored_out": {strings(tgt(report.ignored_out), i1)}',
-            f'"refined_domain": {strings(src(report.refined_domain), i1)}',
-            f'"refined_codomain": {strings(tgt(report.refined_codomain), i1)}',
+            f'"ignored_in": {strings(declaration_order(report.ignored_in, src), i1)}',
+            f'"ignored_out": {strings(declaration_order(report.ignored_out, tgt), i1)}',
+            f'"refined_domain": {strings(declaration_order(report.refined_domain, src), i1)}',
+            f'"refined_codomain": {strings(declaration_order(report.refined_codomain, tgt), i1)}',
             f'"fixed_point_candidate": {"true" if report.fixed_point_candidate else "false"}',
             f'"profiles": {_json_block("[]", profiles, i1)}',
             f'"diagnostics": {_json_block("[]", diagnostics, i1)}',

@@ -404,8 +404,15 @@ def test_fixed_point_explanations(reports):
 _DIFFER = "refined domain and refined codomain differ "
 
 
-# Every corpus verdict in full, and a report whose sets differ both ways.
-# `fixed_point_candidate` takes the same decision without the explanation.
+# Every corpus verdict in full, and probe reports whose sets differ both
+# ways and on the codomain side only. `fixed_point_candidate` takes its
+# decision from `detect_fixed_point`.
+_PROBES = {
+    "probe": "rule R {\n\tfrom\n\t\ts : CPPivot!Class\n\tto\n\t\tt : CPPivot!Record()\n}",
+    "codomain_probe": "rule R {\n\tfrom\n\t\ts : CPPivot!Class\n\tto\n\t\tt : CPPivot!Class(),\n\t\tu : CPPivot!Record()\n}",
+}
+
+
 @pytest.mark.parametrize(
     ("name", "verdict"),
     [
@@ -416,12 +423,12 @@ _DIFFER = "refined domain and refined codomain differ "
         ("recordRemoval", (False, _DIFFER + "(domain only: Record)", ())),
         ("uselessIfRemoval", (False, "no concept is both conditionally or lazily copied and conditionally mutated", ())),
         ("probe", (False, _DIFFER + "(domain only: Class; codomain only: Record)", ())),
+        ("codomain_probe", (False, _DIFFER + "(codomain only: Record)", ())),
     ],
 )
 def test_fixed_point_verdicts_and_candidates(pivot, reports, name, verdict):
-    if name == "probe":
-        body = "rule R {\n\tfrom\n\t\ts : CPPivot!Class\n\tto\n\t\tt : CPPivot!Record()\n}"
-        report = analyze(parse_transformation(wrap_rules(body)), pivot, pivot)
+    if name in _PROBES:
+        report = analyze(parse_transformation(wrap_rules(_PROBES[name])), pivot, pivot)
     else:
         report = reports[name]
     assert tuple(detect_fixed_point(report)) == verdict

@@ -14,6 +14,7 @@ from xformlens import (
     Mode,
     Table,
     analyze,
+    detect_fixed_point,
     ignored_table,
     parse_metamodel,
     parse_transformation,
@@ -24,6 +25,7 @@ from xformlens import (
     report_to_json,
     table_from_json,
 )
+import xformlens.analyzer as analyzer_module
 import xformlens.report as report_module
 from xformlens.cli import COMMANDS
 from xformlens.report import FORMATS, mode_set_label, render_reports
@@ -309,6 +311,23 @@ def test_analyze_json_calls_report_to_json_once_per_report(reports, monkeypatch)
 
     monkeypatch.setattr(report_module, "report_to_json", counting)
     assert render_reports(corpus, "json") == expected
+    assert calls == corpus
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "json"])
+def test_render_reports_decides_each_fixed_point_through_detect_fixed_point(reports, fmt, monkeypatch):
+    # The benchmark's tracer times the fixed-point decision by wrapping this
+    # module global; a decision taken by another function would hide it.
+    corpus = list(reports.values())
+    expected = render_reports(corpus, fmt)
+    calls = []
+
+    def counting(report):
+        calls.append(report)
+        return detect_fixed_point(report)
+
+    monkeypatch.setattr(analyzer_module, "detect_fixed_point", counting)
+    assert render_reports(corpus, fmt) == expected
     assert calls == corpus
 
 
