@@ -54,10 +54,7 @@ def check_chain(
     goal_met is True when every step is valid. A warning is attached to
     any step that introduces a concept some later step drops again.
     """
-    initial_set = frozenset(initial)
-    current = initial_set
-    inputs: list[frozenset[str]] = []
-    outputs: list[frozenset[str]] = []
+    sets = [frozenset(initial)]  # sets[i] enters step i, and sets[i + 1] leaves it
     for i, report in enumerate(chain):
         if i > 0 and chain[i - 1].target_mm != report.source_mm:
             raise ChainCompatibilityError(
@@ -65,33 +62,22 @@ def check_chain(
                 f"step {i + 1} ('{report.transformation}') reads "
                 f"'{report.source_mm}'"
             )
-        inputs.append(current)
-        current = propagate(current, report)
-        outputs.append(current)
+        sets.append(propagate(sets[i], report))
 
-    warnings: list[list[str]] = [[] for _ in chain]
+    steps = []
     for i, report in enumerate(chain):
-        introduced = outputs[i] - inputs[i]
-        for c in declaration_order(introduced, report.target_concepts):
-            for j in range(i + 1, len(chain)):
-                if c not in outputs[j]:
-                    warnings[i].append(
-                        f"useless step: '{c}' is introduced here and dropped "
-                        f"by step {j + 1} ('{chain[j].transformation}')"
-                    )
-                    break
-
-    steps = tuple(
-        ChainStep(
-            report.transformation,
-            inputs[i],
-            outputs[i],
-            inputs[i] <= report.refined_domain,
-            tuple(warnings[i]),
+        warnings = []
+        for c in declaration_order(sets[i + 1] - sets[i], report.target_concepts):
+            j = next((j for j in range(i + 1, len(chain)) if c not in sets[j + 1]), None)
+            if j is not None:
+                warnings.append(
+                    f"useless step: '{c}' is introduced here and dropped "
+                    f"by step {j + 1} ('{chain[j].transformation}')"
+                )
+        steps.append(
+            ChainStep(report.transformation, sets[i], sets[i + 1], sets[i] <= report.refined_domain, tuple(warnings))
         )
-        for i, report in enumerate(chain)
-    )
-    return ChainPlan(initial_set, steps, all(s.valid for s in steps))
+    return ChainPlan(sets[0], tuple(steps), all(s.valid for s in steps))
 
 
 def plan_chain(

@@ -1,8 +1,9 @@
 """Rendering pipeline: analysis reports -> generic tables -> text surfaces.
 
-Every displayed result goes through the Table model first, so Markdown,
-HTML, LaTeX, and JSON stay consistent with each other. Concept lists are
-always ordered by metamodel declaration order.
+Every table goes through the Table model first, so its Markdown, HTML,
+LaTeX and JSON renders stay consistent with each other. `analyze --format
+json` is the exception: report_to_json writes each report's JSON directly.
+Concept lists are always ordered by metamodel declaration order.
 """
 from __future__ import annotations
 
@@ -68,20 +69,20 @@ def profile_groups(report: AnalysisReport) -> tuple[ProfileGroup, ...]:
     return tuple(groups)
 
 
+def _concept_lists(report: AnalysisReport) -> list[tuple[str, list[str]]]:
+    """The report's four concept sets as (field, names) pairs in field order,
+    each listed in its own metamodel's declaration order."""
+    src, tgt = report.profiles, report.target_concepts
+    universes = (("ignored_in", src), ("ignored_out", tgt), ("refined_domain", src), ("refined_codomain", tgt))
+    return [(field, declaration_order(getattr(report, field), universe)) for field, universe in universes]
+
+
 def ignored_table(reports: Sequence[AnalysisReport]) -> Table:
-    rows = []
-    for r in reports:
-        rows.append(
-            (
-                r.transformation,
-                ", ".join(declaration_order(r.ignored_in, r.profiles)),
-                ", ".join(declaration_order(r.ignored_out, r.target_concepts)),
-            )
-        )
+    rows = tuple((r.transformation, *(", ".join(names) for _, names in _concept_lists(r)[:2])) for r in reports)
     return Table(
         "Ignored metaelements",
         ("Transformation", "Ignored in metaelements", "Ignored out metaelements"),
-        tuple(rows),
+        rows,
     )
 
 
@@ -98,33 +99,21 @@ def referenced_table(reports: Sequence[AnalysisReport]) -> Table:
 
     rows = []
     for r, groups in zip(reports, per_report):
-        by_label = {g.rendered_label: g for g in groups}
+        cells = {g.rendered_label: ", ".join(g.concepts) for g in groups}
         largest = max((len(g.concepts) for g in groups), default=0)
         top = [g.rendered_label for g in groups if len(g.concepts) == largest]
-        collapsed = top[0] if len(top) == 1 else None
-        cells = []
-        for label in labels:
-            group = by_label.get(label)
-            if group is None:
-                cells.append("NONE")
-            elif label == collapsed:
-                cells.append("ALL OTHER")
-            else:
-                cells.append(", ".join(group.concepts))
-        rows.append((r.transformation,) + tuple(cells))
+        if len(top) == 1:
+            cells[top[0]] = "ALL OTHER"
+        rows.append((r.transformation, *(cells.get(label, "NONE") for label in labels)))
     return Table("Referenced metaelements", ("Transformation", *labels), tuple(rows))
 
 
 def report_table(report: AnalysisReport) -> Table:
     """Per-transformation summary table, diagnostics included."""
-    src, tgt = report.profiles, report.target_concepts
     rows = [
         ("source metamodel", report.source_mm),
         ("target metamodel", report.target_mm),
-        ("ignored in", ", ".join(declaration_order(report.ignored_in, src))),
-        ("ignored out", ", ".join(declaration_order(report.ignored_out, tgt))),
-        ("refined domain", ", ".join(declaration_order(report.refined_domain, src))),
-        ("refined codomain", ", ".join(declaration_order(report.refined_codomain, tgt))),
+        *((field.replace("_", " "), ", ".join(names)) for field, names in _concept_lists(report)),
         ("fixed point candidate", "yes" if report.fixed_point_candidate else "no"),
     ]
     rows += [("diagnostic", line) for line in lint_lines(report.diagnostics)]
@@ -258,11 +247,10 @@ def report_to_json(report: AnalysisReport, indent: str = "") -> str:
     def modes(values: frozenset[Mode]) -> str:
         return strings([m.value for m in Mode if m in values], i3)
 
-    src, tgt = report.profiles, report.target_concepts
     # A profile entry's fields after its concept, written once per distinct profile.
     tails = {
         p: f'"copy_modes": {modes(p.copy_modes)},\n{i3}"mutation_modes": {modes(p.mutation_modes)},\n'
-        f'{i3}"produced_as": {strings(declaration_order(p.produced_as, tgt), i3)}'
+        f'{i3}"produced_as": {strings(declaration_order(p.produced_as, report.target_concepts), i3)}'
         for p in set(report.profiles.values())
     }
     profiles = [f'{{\n{i3}"concept": {q(c)},\n{i3}{tails[p]}\n{i2}}}' for c, p in report.profiles.items()]
@@ -281,10 +269,7 @@ def report_to_json(report: AnalysisReport, indent: str = "") -> str:
             f'"transformation": {q(report.transformation)}',
             f'"source_mm": {q(report.source_mm)}',
             f'"target_mm": {q(report.target_mm)}',
-            f'"ignored_in": {strings(declaration_order(report.ignored_in, src), i1)}',
-            f'"ignored_out": {strings(declaration_order(report.ignored_out, tgt), i1)}',
-            f'"refined_domain": {strings(declaration_order(report.refined_domain, src), i1)}',
-            f'"refined_codomain": {strings(declaration_order(report.refined_codomain, tgt), i1)}',
+            *(f'"{field}": {strings(names, i1)}' for field, names in _concept_lists(report)),
             f'"fixed_point_candidate": {"true" if report.fixed_point_candidate else "false"}',
             f'"profiles": {_json_block("[]", profiles, i1)}',
             f'"diagnostics": {_json_block("[]", diagnostics, i1)}',

@@ -254,6 +254,19 @@ def test_report_table_fields_and_diagnostics(reports):
     )
 
 
+def test_exogenous_tables_list_target_side_sets_in_target_order():
+    source = parse_metamodel("metamodel S { class A {} class B {} class C {} }")
+    target = parse_metamodel("metamodel T { class C {} class X {} class A {} }")
+    body = "rule R { from s : S!A to t : T!C() }"
+    report = analyze(parse_transformation(wrap_rules(body, source_mm="S", target_mm="T")), source, target)
+    fields = dict(report_table(report).rows)
+    assert fields["ignored in"] == "B, C"
+    assert fields["ignored out"] == "X, A"
+    assert fields["refined domain"] == "A"
+    assert fields["refined codomain"] == "C"
+    assert ignored_table([report]).rows == (("probe", "B, C", "X, A"),)
+
+
 def test_report_table_positions_diagnostics_with_locations(pivot):
     body = (
         "rule Ghostly {\n"

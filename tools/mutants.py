@@ -83,12 +83,16 @@ MUTANTS = [
     # Chains.
     (f"{PKG}/chain.py", "if profile.copy_modes:", "if not profile.mutation_modes:",
      "propagate keeps concepts no rule copies"),
-    (f"{PKG}/chain.py", "inputs[i] <= report.refined_domain,", "outputs[i] <= report.refined_domain,",
+    (f"{PKG}/chain.py", "sets[i] <= report.refined_domain,", "sets[i + 1] <= report.refined_domain,",
      "step validity judged on the step's output"),
-    (f"{PKG}/chain.py", "introduced = outputs[i] - inputs[i]", "introduced = outputs[i]",
+    (f"{PKG}/chain.py", "declaration_order(sets[i + 1] - sets[i],", "declaration_order(sets[i + 1],",
      "a concept that passes through counts as introduced"),
-    (f"{PKG}/chain.py", "                    break\n", "                    pass\n",
+    (f"{PKG}/chain.py",
+     "j = next((j for j in range(i + 1, len(chain)) if c not in sets[j + 1]), None)\n            if j is not None:",
+     "for j in (j for j in range(i + 1, len(chain)) if c not in sets[j + 1]):",
      "a useless-step warning repeats for every later dropping step"),
+    (f"{PKG}/chain.py", "if c not in sets[j + 1]), None)", "if c not in sets[j]), None)",
+     "a concept counts as dropped by the step after the one that drops it"),
     (f"{PKG}/chain.py", "reports = sorted(library, key=lambda r: r.transformation)", "reports = list(library)",
      "the planner's tie-break follows library order"),
     (f"{PKG}/chain.py", "if len(path) >= max_len:", "if len(path) > max_len:",
@@ -96,8 +100,12 @@ MUTANTS = [
     (f"{PKG}/chain.py", "if mm is not None and report.source_mm != mm:", "if mm is None and report.source_mm != mm:",
      "the planner chains steps across metamodels"),
     # Tables and lexer.
-    (f"{PKG}/report.py", "collapsed = top[0] if len(top) == 1 else None", "collapsed = top[0]",
+    (f"{PKG}/report.py", "if len(top) == 1:", "if top:",
      "a size tie still collapses one group to ALL OTHER"),
+    # Killed by test_report.py's test_exogenous_tables_list_target_side_sets_in_target_order and
+    # test_properties.py's test_report_to_json_writes_what_json_dumps_writes.
+    (f"{PKG}/report.py", '("ignored_out", tgt)', '("ignored_out", src)',
+     "the ignored-out set is listed over the source metamodel"),
     # Killed by test_report.py's test_profile_groups_come_in_the_referenced_tables_column_order.
     (f"{PKG}/report.py", "    groups.sort(key=_group_key)\n", "",
      "profile groups come in declaration order, not the table's column order"),
