@@ -99,34 +99,56 @@ def plan_chain(
     forbidden_set = frozenset(forbidden)
     reports = sorted(library, key=lambda r: r.transformation)
 
-    def goal(s: frozenset[str]) -> bool:
-        return required_set <= s and not (s & forbidden_set)
-
-    if goal(initial_set):
+    if required_set <= initial_set and not (initial_set & forbidden_set):
         return check_chain(initial_set, [])
+
+    # The search keeps each concept set as an int with one bit per name, and
+    # propagate is its reference. A valid input lies inside the step's refined
+    # domain, so each step's masks are built from that domain alone.
+    bits: dict[str, int] = {}
+
+    def mask(names: frozenset[str]) -> int:  # distinct names, so the sum of their bits is their OR
+        return sum(bits.setdefault(c, 1 << len(bits)) for c in names)
+
+    steps = []
+    for report in reports:
+        domain, copied, made = mask(report.refined_domain), 0, {}  # made: a producer's bit -> its products
+        for c in report.refined_domain:
+            p = report.profiles.get(c)
+            if p and p.copy_modes:
+                copied |= bits[c]
+            if p and p.produced_as:
+                made[bits[c]] = mask(p.produced_as)
+        steps.append((report, domain, copied, sum(made), made))
+    need, banned = mask(required_set), mask(forbidden_set)
 
     # States pair the current metamodel with the concept set; the start
     # state carries no metamodel, so any library entry may begin the chain.
-    start: tuple[str | None, frozenset[str]] = (None, initial_set)
+    start: tuple[str | None, int] = (None, mask(initial_set))
     visited = {start}
-    queue: deque[tuple[tuple[str | None, frozenset[str]], tuple[AnalysisReport, ...]]]
+    queue: deque[tuple[tuple[str | None, int], tuple[AnalysisReport, ...]]]
     queue = deque([(start, ())])
     while queue:
         (mm, s), path = queue.popleft()
         if len(path) >= max_len:
             continue
-        for report in reports:
+        for report, domain, copied, producers, made in steps:
             if mm is not None and report.source_mm != mm:
                 continue
-            if not s <= report.refined_domain:
+            if s & ~domain:
                 continue
-            out = propagate(s, report)
+            out = s & copied
+            todo = s & producers
+            while todo:
+                low = todo & -todo
+                out |= made[low]
+                todo ^= low
             state = (report.target_mm, out)
             if state in visited:
                 continue
             visited.add(state)
             extended = path + (report,)
-            if goal(out):
+            if out & need == need and not out & banned:
                 return check_chain(initial_set, list(extended))
             queue.append((state, extended))
     return None

@@ -8,7 +8,8 @@ Concept lists are always ordered by metamodel declaration order.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from itertools import islice
 
 from .analyzer import AnalysisReport, Mode, lint_lines
 from .metamodel import declaration_order
@@ -69,16 +70,16 @@ def profile_groups(report: AnalysisReport) -> tuple[ProfileGroup, ...]:
     return tuple(groups)
 
 
-def _concept_lists(report: AnalysisReport) -> list[tuple[str, list[str]]]:
+def _concept_lists(report: AnalysisReport) -> Iterator[tuple[str, list[str]]]:
     """The report's four concept sets as (field, names) pairs in field order,
-    each listed in its own metamodel's declaration order."""
+    each listed lazily in its own metamodel's declaration order."""
     src, tgt = report.profiles, report.target_concepts
     universes = (("ignored_in", src), ("ignored_out", tgt), ("refined_domain", src), ("refined_codomain", tgt))
-    return [(field, declaration_order(getattr(report, field), universe)) for field, universe in universes]
+    return ((field, declaration_order(getattr(report, field), universe)) for field, universe in universes)
 
 
 def ignored_table(reports: Sequence[AnalysisReport]) -> Table:
-    rows = tuple((r.transformation, *(", ".join(names) for _, names in _concept_lists(r)[:2])) for r in reports)
+    rows = tuple((r.transformation, *(", ".join(names) for _, names in islice(_concept_lists(r), 2))) for r in reports)
     return Table(
         "Ignored metaelements",
         ("Transformation", "Ignored in metaelements", "Ignored out metaelements"),

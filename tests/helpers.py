@@ -9,11 +9,12 @@ from __future__ import annotations
 import os
 import random
 import re
+from collections import deque
 from itertools import product
 from pathlib import Path
 
 import xformlens
-from xformlens import ParseError, parse_metamodel, parse_transformation
+from xformlens import ParseError, check_chain, parse_metamodel, parse_transformation
 from xformlens.lexer import is_ident, tokenize
 
 # The constraint-programming pivot metamodel excerpt, five endogenous
@@ -267,6 +268,48 @@ def enumerate_best_plan_length(reports, initial, required, forbidden, max_len):
                 mm = rep.target_mm
             if feasible and goal(s):
                 return length
+    return None
+
+
+def reference_plan(library, initial, required, forbidden, max_len=8):
+    """The planner's breadth-first search over frozensets, with
+    naive_propagate: `plan_chain(...)` must equal `reference_plan(...)`.
+
+    States pair the current metamodel (None at the start) with the concept
+    set; steps are tried in name order, so the first goal state found is
+    the shortest plan with the smallest name sequence.
+    """
+    initial = frozenset(initial)
+    required = frozenset(required)
+    forbidden = frozenset(forbidden)
+
+    def goal(s):
+        return required <= s and not (s & forbidden)
+
+    if goal(initial):
+        return check_chain(initial, [])
+    reports = sorted(library, key=lambda r: r.transformation)
+    start = (None, initial)
+    visited = {start}
+    queue = deque([(start, ())])
+    while queue:
+        (mm, s), path = queue.popleft()
+        if len(path) >= max_len:
+            continue
+        for report in reports:
+            if mm is not None and report.source_mm != mm:
+                continue
+            if not s <= report.refined_domain:
+                continue
+            out = naive_propagate(s, report)
+            state = (report.target_mm, out)
+            if state in visited:
+                continue
+            visited.add(state)
+            extended = path + (report,)
+            if goal(out):
+                return check_chain(initial, list(extended))
+            queue.append((state, extended))
     return None
 
 

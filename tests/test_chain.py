@@ -16,7 +16,7 @@ from xformlens import (
     propagate,
 )
 
-from helpers import enumerate_best_plan_length, naive_propagate, wrap_rules
+from helpers import enumerate_best_plan_length, naive_propagate, reference_plan, wrap_rules
 
 
 @pytest.fixture(scope="module")
@@ -232,3 +232,59 @@ def test_plan_lengths_match_exhaustive_enumeration(reports, full):
         )
         got = None if plan is None else len(plan.steps)
         assert got == expected
+
+
+def _random_library(rng):
+    """Two to seven steps over metamodels M and N, which declare the same
+    one to nine concept names, so that exogenous steps share names."""
+    names = [f"C{i}" for i in range(rng.randint(1, 9))]
+    decls = " ".join(f"class {c} {{}}" for c in names)
+    mms = [parse_metamodel(f"metamodel {m} {{ {decls} }}") for m in rng.choice(["M", "MN"])]
+    library = []
+    for i in range(rng.randint(2, 7)):
+        source, target = rng.choice(mms), rng.choice(mms)
+        rules = []
+        for r in range(rng.randint(0, 7)):
+            head = "lazy rule" if rng.random() < 0.15 else "rule"
+            src = rng.choice(names)
+            # A guard mention puts a concept in the refined domain without processing it.
+            guard = f" (s.f.oclIsTypeOf({source.name}!{rng.choice(names)}))" if rng.random() < 0.4 else ""
+            # The first target is the source's own name about half the time: a copy.
+            first = src if rng.random() < 0.5 else rng.choice(names)
+            targets = [first] + rng.sample(names, rng.randint(0, min(2, len(names))))
+            patterns = ", ".join(f"t{k} : {target.name}!{c}()" for k, c in enumerate(targets))
+            rules.append(f"{head} r{r} {{ from s : {source.name}!{src}{guard} to {patterns} }}")
+        if rng.random() < 0.5:  # a helper that puts every concept in the refined domain
+            mentions = " or ".join(f"s.f.oclIsTypeOf({source.name}!{c})" for c in names)
+            rules.insert(0, f"helper def : h : Boolean = {mentions};")
+        text = wrap_rules("\n".join(rules), name=f"{rng.choice('ab')}{i}", source_mm=source.name, target_mm=target.name)
+        library.append(analyze(parse_transformation(text), source, target))
+    return names, library
+
+
+def test_plan_matches_the_reference_search_on_random_libraries():
+    rng = random.Random(25250)
+    found = {"none": 0, "held": 0, "long": 0, "warned": 0}
+    for _ in range(400):
+        names, library = _random_library(rng)
+        # Mostly inside some step's refined domain, so that a first step is valid.
+        pool = sorted(rng.choice(library).refined_domain) if rng.random() < 0.8 else names
+        initial = frozenset(c for c in pool if rng.random() < 0.7)
+        required = frozenset(c for c in names if c not in initial and rng.random() < 0.3)
+        if rng.random() < 0.15:
+            required |= {"Ghost"}  # a name no report knows
+        forbidden = frozenset(c for c in sorted(initial) if rng.random() < 0.4)
+        if not required | forbidden:  # one constraint at least
+            required = {rng.choice(names)} - initial
+            forbidden = frozenset() if required else {rng.choice(sorted(initial))}
+        if rng.random() < 0.1:  # a goal that already holds
+            required, forbidden = frozenset(), frozenset(c for c in names if c not in initial)
+        max_len = rng.randint(0, 5)
+        plan = plan_chain(library, initial, required, forbidden, max_len)
+        assert plan == reference_plan(library, initial, required, forbidden, max_len)
+        found["none"] += plan is None
+        found["held"] += plan is not None and not plan.steps
+        found["long"] += plan is not None and len(plan.steps) >= 2
+        found["warned"] += plan is not None and any(s.warnings for s in plan.steps)
+    # Every outcome the search can have is drawn.
+    assert min(found.values()) >= 3, found

@@ -99,6 +99,16 @@ MUTANTS = [
      "the planner returns chains one step over max_len"),
     (f"{PKG}/chain.py", "if mm is not None and report.source_mm != mm:", "if mm is None and report.source_mm != mm:",
      "the planner chains steps across metamodels"),
+    # The planner's bitmask search. Killed by test_plan_single_step, test_plan_two_steps_orders_prerequisite_first,
+    # test_plan_single_step and test_plan_matches_the_reference_search_on_random_libraries, in this order.
+    (f"{PKG}/chain.py", "if s & ~domain:", "if not s & ~domain:",
+     "the planner takes a step only when its input leaves the refined domain"),
+    (f"{PKG}/chain.py", "            if s & ~domain:\n                continue\n", "",
+     "the planner takes a step whose input leaves the refined domain"),
+    (f"{PKG}/chain.py", "out |= made[low]", "out = made[low]",
+     "a planned step's image keeps only its last producer's products"),
+    (f"{PKG}/chain.py", "todo ^= low", "todo = 0",
+     "a planned step's image takes the products of one producer only"),
     # Tables and lexer.
     (f"{PKG}/report.py", "if len(top) == 1:", "if top:",
      "a size tie still collapses one group to ALL OTHER"),
