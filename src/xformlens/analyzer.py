@@ -110,6 +110,9 @@ def classify_rule(rule: Rule) -> RuleClassification:
     return RuleClassification(action, mode, targets)
 
 
+_last_findings: tuple = (None, None, None)  # the metamodels analyze saw last, and their kept findings
+
+
 def analyze(
     t: Transformation, source_mm: Metamodel, target_mm: Metamodel
 ) -> AnalysisReport:
@@ -203,22 +206,33 @@ def analyze(
     ignored_in = source_concrete - mentioned_source
     ignored_out = target_concrete - mentioned_target
 
-    # One Lint per concept, thousands on a wide metamodel: each is built by
+    # One Lint per concept, thousands on a wide metamodel and mostly the same
+    # in every transformation of a library: each is kept for the metamodels
+    # seen last, one dict per kind, and a missing one is built by
     # tuple.__new__, without the namedtuple's Python-level __new__.
+    global _last_findings
+    seen_source, seen_target, kept = _last_findings
+    if seen_source is not source_mm or seen_target is not target_mm:
+        kept = ({}, {}, {})
+        _last_findings = source_mm, target_mm, kept
+    never, unread, unwritten = kept
     new = tuple.__new__
     diagnostics = sorted(unknown, key=lambda l: (l.line, l.column))
     diagnostics += [
-        new(Lint, ("never_processed", c, f"concept '{c}' is referenced but never copied or mutated", None, None, None))
+        never.get(c) or never.setdefault(c, new(Lint, (
+            "never_processed", c, f"concept '{c}' is referenced but never copied or mutated", None, None, None)))
         for c in declaration_order(mentioned_source, source_concepts)
         if c not in folded
     ]
     diagnostics += [
-        new(Lint, ("ignored_in", c, f"concept '{c}' appears in no source pattern, guard, binding, or helper body",
-                   None, None, None))
+        unread.get(c) or unread.setdefault(c, new(Lint, (
+            "ignored_in", c, f"concept '{c}' appears in no source pattern, guard, binding, or helper body",
+            None, None, None)))
         for c in declaration_order(ignored_in, source_concepts)
     ]
     diagnostics += [
-        new(Lint, ("ignored_out", c, f"concept '{c}' appears in no target pattern", None, None, None))
+        unwritten.get(c) or unwritten.setdefault(c, new(Lint, (
+            "ignored_out", c, f"concept '{c}' appears in no target pattern", None, None, None)))
         for c in declaration_order(ignored_out, target_concepts)
     ]
 

@@ -230,8 +230,11 @@ def _json_block(brackets: str, items: list[str], indent: str) -> str:
     """An array or object of encoded items, laid out as json.dumps(..., indent=2) does at `indent`."""
     if not items:
         return brackets
-    inner = indent + "  "
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+    inner = f"\n{indent}  "  # one f-string copies the joined items once
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{indent}{brackets[1]}"
+
+
+_last_json: tuple = (None, None, None)  # the target universe and depth report_to_json wrote at last, and its kept texts
 
 
 def report_to_json(report: AnalysisReport, indent: str = "") -> str:
@@ -248,21 +251,38 @@ def report_to_json(report: AnalysisReport, indent: str = "") -> str:
     def modes(values: frozenset[Mode]) -> str:
         return strings([m.value for m in Mode if m in values], i3)
 
+    # The reports of a library mostly repeat each other's profile entries and
+    # diagnostics, so the text of each distinct one, keyed by its whole value,
+    # is kept for the last target universe object and depth. No kept text is
+    # empty, so `get(key) or keep(key, text)` writes only the missing ones.
+    global _last_json
+    universe, seen_indent, kept = _last_json
+    if universe is not report.target_concepts or seen_indent != indent:
+        universe, kept = report.target_concepts, ({}, {})
+        _last_json = universe, indent, kept
+    entries, texts = kept
     # A profile entry's fields after its concept, written once per distinct profile.
     tails = {
         p: f'"copy_modes": {modes(p.copy_modes)},\n{i3}"mutation_modes": {modes(p.mutation_modes)},\n'
-        f'{i3}"produced_as": {strings(declaration_order(p.produced_as, report.target_concepts), i3)}'
+        f'{i3}"produced_as": {strings(declaration_order(p.produced_as, universe), i3)}'
         for p in set(report.profiles.values())
     }
-    profiles = [f'{{\n{i3}"concept": {q(c)},\n{i3}{tails[p]}\n{i2}}}' for c, p in report.profiles.items()]
+    get, keep = entries.get, entries.setdefault
+    profiles = [
+        get(e) or keep(e, f'{{\n{i3}"concept": {q(c)},\n{i3}{tails[p]}\n{i2}}}')
+        for e in report.profiles.items()
+        for c, p in (e,)
+    ]
     # A diagnostic's fields in Lint's order; a position field only when known.
+    get, keep = texts.get, texts.setdefault
     diagnostics = [
-        f'{{\n{i3}"kind": {q(kind)},\n{i3}"subject": {q(subject)},\n{i3}"message": {q(message)}'
+        get(d) or keep(d, f'{{\n{i3}"kind": {q(kind)},\n{i3}"subject": {q(subject)},\n{i3}"message": {q(message)}'
         + ("" if file is None else f',\n{i3}"file": {q(file)}')
         + ("" if line is None else f',\n{i3}"line": {line}')
         + ("" if column is None else f',\n{i3}"column": {column}')
-        + f"\n{i2}}}"
-        for kind, subject, message, file, line, column in report.diagnostics
+        + f"\n{i2}}}")
+        for d in report.diagnostics
+        for kind, subject, message, file, line, column in (d,)
     ]
     return _json_block(
         "{}",

@@ -160,6 +160,38 @@ def test_analyze_derives_each_metamodels_facts_afresh(pivot):
         assert unknown == ([] if source_mm is pivot else ["CPPivot!Enumeration"])
 
 
+def test_a_library_shares_the_findings_it_has_in_common(pivot):
+    # analyze keeps its per-concept findings for the metamodel objects it saw
+    # last: transformations analyzed against one object share each finding
+    # they have in common, and an equal but distinct object starts afresh.
+    def findings(body, source_mm, target_mm):
+        t = parse_transformation(wrap_rules(body, source_mm=source_mm.name, target_mm=target_mm.name))
+        report = analyze(t, source_mm, target_mm)
+        return report, {(d.kind, d.subject): d for d in report.diagnostics}
+
+    _, first = findings(RULE_COPY_ALWAYS, pivot, pivot)
+    _, second = findings(RULE_MUTATION_GUARDED, pivot, pivot)
+    common = first.keys() & second.keys()
+    assert {kind for kind, _ in common} == {"ignored_in", "ignored_out"}
+    assert all(first[key] is second[key] for key in common)
+
+    twin = pivot._replace()
+    assert twin == pivot and twin is not pivot
+    _, again = findings(RULE_COPY_ALWAYS, twin, twin)
+    assert again == first
+    assert not any(again[key] is first[key] for key in first)
+
+    # An exogenous pair lists ignored_out over the target's concepts, in its
+    # declaration order, after endogenous findings were kept for the source.
+    extra = parse_metamodel("metamodel Other { class Extra {} class DataType {} abstract class Base {} }")
+    exo, found = findings(RULE_COPY_ALWAYS.replace("t : CPPivot!", "t : Other!"), pivot, extra)
+    assert exo.ignored_out == {"Extra"}
+    assert [subject for kind, subject in found if kind == "ignored_out"] == ["Extra"]
+    assert [subject for kind, subject in found if kind == "ignored_in"] == [
+        subject for kind, subject in first if kind == "ignored_in"
+    ]
+
+
 def test_abstract_source_rule_contributes_nothing(pivot):
     report = analyze(
         parse_transformation(wrap_rules(LAZY_PARENT_STUB)), pivot, pivot

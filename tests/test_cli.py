@@ -336,6 +336,22 @@ def test_lint_colors_kinds_when_enabled(cli, unknown_concept_module, monkeypatch
     assert "\x1b[31munknown_concept\x1b[0m" in result.out
 
 
+def test_lint_paints_every_kind_after_a_plain_run_in_the_same_process(cli, corpus_args, monkeypatch):
+    # classInstantiation and recordRemoval share the finding that `Class`
+    # appears in no target pattern. After a plain run, a coloured run in the
+    # same process must paint every kind, in shared findings too.
+    args = ["lint", corpus_args[0], str(CORPUS / "classInstantiation.tfm"), str(CORPUS / "recordRemoval.tfm")]
+    monkeypatch.delenv("XFORMLENS_COLOR", raising=False)
+    plain = cli(args).out.splitlines()
+    assert plain.count("classInstantiation: ignored_out: concept 'Class' appears in no target pattern") == 1
+    assert plain.count("recordRemoval: ignored_out: concept 'Class' appears in no target pattern") == 1
+    monkeypatch.setenv("XFORMLENS_COLOR", "1")
+    colors = {"unknown_concept": 31, "never_processed": 33, "ignored_in": 36, "ignored_out": 36}
+    kind = re.compile(r": (%s): " % "|".join(colors))
+    painted = [kind.sub(lambda m: f": \x1b[{colors[m[1]]}m{m[1]}\x1b[0m: ", line, count=1) for line in plain]
+    assert cli(args).out.splitlines() == painted
+
+
 def test_chain_check_reports_invalid_step(cli, corpus_args):
     result = cli(["chain-check", corpus_args[0], str(CORPUS / "recordRemoval.tfm")])
     assert result.exit_code == 0

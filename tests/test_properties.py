@@ -184,44 +184,68 @@ def test_report_json_round_trips_and_orders_modes(seed):
 json_text = st.text(alphabet=list('aZ_ 1"\\/\x00\x1f\x7f\n\t\u00e9\u4e2d\u2028\ufeff\U0001f600\udc80\udcfe\udcff'), max_size=6)
 
 
-@st.composite
-def analysis_reports(draw):
-    """Any AnalysisReport the JSON writer may meet, consistent or not."""
-    source = draw(st.lists(json_text, unique=True, max_size=6))
-    target = draw(st.lists(json_text, unique=True, max_size=6))
+optional_int = st.none() | st.integers(min_value=0, max_value=10**6)
+lints = st.builds(Lint, json_text, json_text, json_text, st.none() | json_text, optional_int, optional_int)
 
-    def subset(universe):
-        return frozenset(draw(st.lists(st.sampled_from(universe), max_size=len(universe))) if universe else ())
+
+def _profile_pool(draw, target):
+    """The empty profile and up to three drawn over the target universe."""
 
     def modes():
         return frozenset(draw(st.sets(st.sampled_from(Mode))))
 
-    pool = [ConceptProfile()] + [
-        ConceptProfile(modes(), modes(), subset(target)) for _ in range(draw(st.integers(0, 3)))
+    return [ConceptProfile()] + [
+        ConceptProfile(modes(), modes(), _subset(draw, target)) for _ in range(draw(st.integers(0, 3)))
     ]
+
+
+def _subset(draw, universe):
+    return frozenset(draw(st.lists(st.sampled_from(universe), max_size=len(universe))) if universe else ())
+
+
+def _report(draw, source, target, pool, diagnostics):
+    """A report over the universes `source` and `target` (a tuple), its
+    profiles drawn from `pool` and its diagnostics from the strategy `diagnostics`."""
     profiles = {}
     for c in source:
         p = draw(st.sampled_from(pool))
         # The same object, or an equal profile that is a distinct object.
         profiles[c] = ConceptProfile(*p) if draw(st.booleans()) else p
-    optional_int = st.none() | st.integers(min_value=0, max_value=10**6)
-    diagnostics = draw(st.lists(
-        st.builds(Lint, json_text, json_text, json_text, st.none() | json_text, optional_int, optional_int),
-        max_size=4,
-    ))
+    diagnostics = draw(diagnostics)
     name = draw(json_text)
     return AnalysisReport(
         draw(json_text),
         name,
         draw(st.just(name) | json_text),  # endogenous or not
         profiles,
-        tuple(target),
-        subset(source),
-        subset(target),
-        subset(source),
-        subset(target),
+        target,
+        _subset(draw, source),
+        _subset(draw, target),
+        _subset(draw, source),
+        _subset(draw, target),
         tuple(diagnostics),
     )
+
+
+@st.composite
+def analysis_reports(draw):
+    """Any AnalysisReport the JSON writer may meet, consistent or not."""
+    source = draw(st.lists(json_text, unique=True, max_size=6))
+    target = draw(st.lists(json_text, unique=True, max_size=6))
+    return _report(draw, source, tuple(target), _profile_pool(draw, target), st.lists(lints, max_size=4))
+
+
+@st.composite
+def libraries(draw):
+    """One to four reports over one target universe object, their profiles
+    and diagnostics drawn from one pool, as the reports of a library repeat
+    each other's entries; a drawn diagnostic may be an equal distinct object."""
+    source = draw(st.lists(json_text, unique=True, max_size=6))
+    target = tuple(draw(st.lists(json_text, unique=True, max_size=6)))
+    pool = _profile_pool(draw, target)
+    findings = draw(st.lists(lints, min_size=1, max_size=4))
+    diagnostics = st.lists(st.sampled_from(findings + [Lint(*d) for d in findings]), max_size=6)
+    return [_report(draw, source, target, pool, diagnostics) for _ in range(draw(st.integers(1, 4)))]
 
 
 @given(analysis_reports())
@@ -236,6 +260,26 @@ def test_report_to_json_writes_what_json_dumps_writes(report):
 def test_analyze_json_writes_what_json_dumps_writes(reports):
     expected = json.dumps([reference_report_dict(r) for r in reports], indent=2) + "\n"
     assert render_reports(reports, "json") == expected
+
+
+@given(libraries(), analysis_reports(), st.lists(st.sampled_from(["library", "one", "other"]), max_size=6))
+@settings(deadline=None, max_examples=50)
+def test_json_texts_kept_across_reports_are_what_json_dumps_writes(library, other, calls):
+    # The texts kept for one report are met again in the next: the writer
+    # must still give json.dumps's bytes when calls at another depth or over
+    # another target universe come in between.
+    def reference(r):
+        return json.dumps(reference_report_dict(r), indent=2)
+
+    expected = json.dumps([reference_report_dict(r) for r in library], indent=2) + "\n"
+    for i, call in enumerate(["library", *calls, "library"]):
+        if call == "library":
+            assert render_reports(library, "json") == expected
+        elif call == "one":
+            r = library[i % len(library)]
+            assert report_to_json(r, "") == reference(r)
+        else:
+            assert report_to_json(other) == reference(other)
 
 
 @st.composite

@@ -361,6 +361,17 @@ def test_report_to_json_at_a_depth_indents_every_later_line(reports):
         assert report_to_json(report, "") == report_to_json(report)
 
 
+def test_report_to_json_lists_produced_as_in_each_reports_target_order():
+    # Two reports with the same concept and profile over target universes
+    # in different orders: a profile entry kept for the first must not be
+    # written for the second.
+    profile = ConceptProfile(frozenset({Mode.ALWAYS}), frozenset(), frozenset({"A", "B"}))
+    first = AnalysisReport("t", "S", "T", {"C": profile}, ("A", "B"), *(frozenset(),) * 4)
+    second = first._replace(target_concepts=("B", "A"))
+    for report, order in (first, ["A", "B"]), (second, ["B", "A"]), (first, ["A", "B"]):
+        assert json.loads(report_to_json(report))["profiles"][0]["produced_as"] == order
+
+
 def test_report_to_json_omits_absent_positions(reports):
     data = json.loads(report_to_json(reports["recordRemoval"]))
     for diag in data["diagnostics"]:

@@ -67,6 +67,10 @@ MUTANTS = [
      "refined domain cut by the ignored-out set"),
     (f"{PKG}/analyzer.py", "if c not in folded\n", "if not profiles[c].copy_modes\n",
      "a concept that is only mutated is called never processed"),
+    # Killed by the corpus goldens (test_fixtures.py's test_goldens_match_the_regeneration_tool):
+    # `Class` is both never_processed and ignored_out in classInstantiation.
+    (f"{PKG}/analyzer.py", "kept = ({}, {}, {})", "kept = ({},) * 3",
+     "the kept findings are keyed by the concept alone, not by kind and concept"),
     # Killed by test_analyzer.py's test_analyze_derives_each_metamodels_facts_afresh.
     (f"{PKG}/metamodel.py", "if seen is not mm:", "if seen is None:",
      "analyze keeps the facts of the first metamodel it saw"),
@@ -162,6 +166,16 @@ MUTANTS = [
      "a diagnostic's JSON has a line exactly when it has none"),
     (f"{PKG}/cli.py", "data = data[taken:]", "data = data[len(data):]",
      "the bytes a short write left are dropped"),
+    # Kept JSON texts. Both are killed by test_properties.py's
+    # test_json_texts_kept_across_reports_are_what_json_dumps_writes, and by test_report.py's
+    # test_report_to_json_at_a_depth_indents_every_later_line and
+    # test_report_to_json_lists_produced_as_in_each_reports_target_order, in this order.
+    (f"{PKG}/report.py", "if universe is not report.target_concepts or seen_indent != indent:",
+     "if universe is not report.target_concepts:",
+     "the kept JSON texts are reused at another depth"),
+    (f"{PKG}/report.py", "if universe is not report.target_concepts or seen_indent != indent:",
+     "if universe is None or seen_indent != indent:",
+     "the kept JSON texts are reused over another target universe"),
     # Command line. Killed by test_an_option_value_may_follow_an_equals_sign and
     # test_double_dash_ends_the_options.
     (f"{PKG}/cli.py", 'flag, eq, value = word.partition("=")', 'flag, eq, value = word, "", ""',
