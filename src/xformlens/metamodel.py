@@ -19,6 +19,8 @@ Feature = namedtuple("Feature", "kind name type_name multiplicity", defaults=(No
 # name: str; abstract: bool; supertypes: tuple[str, ...]; features: tuple[Feature, ...]
 Concept = namedtuple("Concept", "name abstract supertypes features", defaults=(False, (), ()))
 
+_new = tuple.__new__  # the parser gives every field, so it skips the namedtuple's Python-level __new__
+
 
 class Metamodel(namedtuple("Metamodel", "name concepts", defaults=((),))):
     """A metamodel: `name` (str) and `concepts` (tuple[Concept, ...]) in declaration order."""
@@ -67,7 +69,7 @@ def parse_metamodel(source_text: str, *, path: str | None = None) -> Metamodel:
         features: list[Feature] = []
         while not ts.accept("}"):
             features.append(_parse_feature(ts))
-        concepts.append(Concept(cname, abstract, tuple(supertypes), tuple(features)))
+        concepts.append(_new(Concept, (cname, abstract, tuple(supertypes), tuple(features))))
     ts.expect_eof()
 
     _validate_inheritance(ts, declared_at, super_refs)
@@ -87,7 +89,7 @@ def _parse_feature(ts: TokenStream) -> Feature:
         multiplicity = ts.slice(*capture_balanced(ts, ("]",), "multiplicity"))
         ts.expect("]")
     ts.expect(";")
-    return Feature(kind, fname, ftype, multiplicity)
+    return _new(Feature, (kind, fname, ftype, multiplicity))
 
 
 def _validate_inheritance(

@@ -198,8 +198,15 @@ def render(table: Table, fmt: str) -> str:
 
 def render_reports(reports: Sequence[AnalysisReport], fmt: str) -> str:
     """The `analyze` output: a JSON array, or the ignored and referenced tables then one table per report."""
-    if fmt == "json":
-        return _json_block("[]", [report_to_json(r, "  ") for r in reports], "") + "\n"
+    if fmt == "json":  # one join of the brackets, the report texts and their separators: one copy of the output
+        parts = []
+        for r in reports:
+            parts += (",\n  ", report_to_json(r, "  "))
+        if not parts:
+            return "[]\n"
+        parts[0] = "[\n  "
+        parts.append("\n]\n")
+        return "".join(parts)
     parts = [render(ignored_table(reports), fmt), render(referenced_table(reports), fmt)]
     parts.extend(render(report_table(r), fmt) for r in reports)
     return "\n".join(parts)

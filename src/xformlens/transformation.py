@@ -7,6 +7,7 @@ analysis only needs the qualified concept references inside them.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
 from .lexer import ParseError, TokenStream, capture_balanced, is_ident
@@ -49,6 +50,8 @@ Transformation = namedtuple(
     "name source_metamodel target_metamodel helpers rules source_path",
     defaults=((), (), None),
 )
+
+_new = tuple.__new__  # the parser gives every field, so it skips the namedtuple's Python-level __new__
 
 
 def parse_transformation(
@@ -125,7 +128,7 @@ def _parse_helper(ts: TokenStream) -> Helper:
     ts.expect("=")
     body = _expression(ts, *capture_balanced(ts, (";",), "helper body"))
     ts.expect(";")
-    return Helper(name, result_type, body, context)
+    return _new(Helper, (name, result_type, body, context))
 
 
 def _parse_rule(ts: TokenStream) -> tuple[Rule, int, int | None]:
@@ -152,7 +155,7 @@ def _parse_rule(ts: TokenStream) -> tuple[Rule, int, int | None]:
         targets.append(_parse_target(ts))
     ts.expect("}")
 
-    rule = Rule(
+    rule = _new(Rule, (
         ts.texts[name_at],
         source_var,
         source_concept,
@@ -160,7 +163,7 @@ def _parse_rule(ts: TokenStream) -> tuple[Rule, int, int | None]:
         guard,
         lazy,
         ts.texts[parent_at] if parent_at is not None else None,
-    )
+    ))
     return rule, name_at, parent_at
 
 
@@ -174,27 +177,39 @@ def _parse_target(ts: TokenStream) -> TargetPattern:
         while True:
             feature = ts.texts[ts.expect_ident("feature name")]
             ts.expect("<-")
-            bindings.append(Binding(feature, _expression(ts, *capture_balanced(ts, (",", ")"), "binding expression"))))
+            bindings.append(_new(Binding, (feature, _expression(ts, *capture_balanced(ts, (",", ")"), "binding expression")))))
             if not ts.accept(","):
                 break
     ts.expect(")")
-    return TargetPattern(var, concept, tuple(bindings))
+    return _new(TargetPattern, (var, concept, tuple(bindings)))
 
 
 def _parse_qref(ts: TokenStream) -> ConceptRef:
     mm_at = ts.expect_ident("metamodel name")
     ts.expect("!")
-    name_at = ts.expect_ident("concept name")
-    return ConceptRef(ts.texts[mm_at], ts.texts[name_at], *ts.position(mm_at))
+    ts.expect_ident("concept name")
+    return _concept_ref(ts, mm_at)
+
+
+def _concept_ref(ts: TokenStream, mm_at: int) -> ConceptRef:
+    """The ref spelled by tokens `mm_at` to `mm_at + 2`, at the line and column of its metamodel name."""
+    offset = ts.texts.starts[mm_at]
+    lines = ts.line_starts
+    line = bisect_right(lines, offset)
+    return _new(ConceptRef, (ts.texts[mm_at], ts.texts[mm_at + 2], line, offset - lines[line - 1] + 1))
 
 
 def _expression(ts: TokenStream, start: int, stop: int) -> Expression:
     """The run of tokens `start` to `stop - 1` and the `A!B` refs in it."""
     raw = ts.slice(start, stop)
+    texts, starts = ts.texts, ts.texts.starts
+    first = starts[start]
     refs = []
-    if "!" in raw:  # without a `!` the run names no concept: skip the walk
-        texts = ts.texts
-        for i in range(start + 1, stop - 1):
-            if texts[i] == "!" and is_ident(texts[i - 1]) and is_ident(texts[i + 1]):
-                refs.append(ConceptRef(texts[i - 1], texts[i + 1], *ts.position(i - 1)))
-    return Expression(raw, tuple(refs))
+    # A ref's `!` starts a token, neither the run's first nor its last, with an identifier on each side.
+    at = raw.find("!", 1, len(raw) - 1)
+    while at >= 0:
+        i = bisect_left(starts, first + at, start, stop)
+        if starts[i] == first + at and is_ident(texts[i - 1]) and is_ident(texts[i + 1]):
+            refs.append(_concept_ref(ts, i - 1))
+        at = raw.find("!", at + 1, len(raw) - 1)
+    return _new(Expression, (raw, tuple(refs)))

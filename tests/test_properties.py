@@ -311,12 +311,12 @@ def test_declaration_order_lists_a_subset_in_universe_order(case):
 # two-character symbols, line ends and tabs, letters and digits beyond
 # ASCII (`²` is a word character but no digit, `٣` a digit), control
 # characters, and any other code point.
-lexer_text = st.lists(
-    st.sampled_from(
-        ["'", "--", "<-", "->", "..", "-", "<", ">", ".", "!", "\r", "\n", "\t", " ", "\r\n",
-         "a", "_", "é", "ß", "Ⅻ", "7", "٣", "²", "½", "\x00", "\x0b", "\x0c", "\x1f", "\x7f", "\x85", "\u2028"]
-    )
-    | st.characters(),
+_LEXER_PIECES = ["'", "--", "<-", "->", "..", "-", "<", ">", ".", "!", "\r", "\n", "\t", " ", "\r\n",
+                 "a", "_", "é", "ß", "Ⅻ", "7", "٣", "²", "½", "\x00", "\x0b", "\x0c", "\x1f", "\x7f", "\x85", "\u2028"]
+lexer_text = st.lists(st.sampled_from(_LEXER_PIECES) | st.characters(), max_size=30).map("".join)
+# The same edge cases within ASCII, the text that the lexer splits in ASCII mode.
+ascii_lexer_text = st.lists(
+    st.sampled_from([p for p in _LEXER_PIECES if p.isascii()]) | st.characters(max_codepoint=0x7F),
     max_size=30,
 ).map("".join)
 
@@ -328,8 +328,9 @@ def _lexed(scan, source):
         return str(exc)
 
 
-@given(lexer_text)
+@given(lexer_text | ascii_lexer_text)
 @example("a<--b -->c\r\n'x' '")
+@example("a_1 7b\t'x!y'--z\r!B\x0c\x7f")
 @example("x²1 ٣y ½ '\t'..->")
 @settings(deadline=None, max_examples=300)
 def test_tokenize_matches_the_reference_scanner(source):

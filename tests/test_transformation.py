@@ -6,12 +6,15 @@ import pytest
 from xformlens import ParseError, parse_transformation
 
 from helpers import (
+    CORPUS,
     LAZY_PARENT_STUB,
     RULE_COPY_ALWAYS,
     RULE_COPY_GUARDED,
     RULE_COPY_LAZY,
     RULE_MUTATION_GUARDED,
     named,
+    reference_position,
+    reference_tokenize,
     wrap_rules,
 )
 
@@ -169,11 +172,31 @@ def test_expression_refs_require_qualifier_shape():
 
 @pytest.mark.parametrize(
     "guard, refs",
-    [("1!A", set()), ("A!'s'", set()), ("(s.x)!A", set()), ("A!1", set()), ("x!\u00b2y", {"x!\u00b2y"})],
-    ids=["integer-left", "string-right", "bracket-left", "integer-right", "superscript-right"],
+    [
+        ("1!A", set()),
+        ("A!'s'", set()),
+        ("(s.x)!A", set()),
+        ("A!1", set()),
+        ("x!\u00b2y", {"x!\u00b2y"}),
+        ("'M!C'", set()),
+        ("s.x -- M!C\n", set()),
+        ("'a' ! B", set()),
+        ("A -- !\nB C", set()),
+        ("A ! B", {"A!B"}),
+        ("A -- c\n! B", {"A!B"}),
+        ("A!\n\tB", {"A!B"}),
+        ("A!B!C", {"A!B", "B!C"}),
+    ],
+    ids=[
+        "integer-left", "string-right", "bracket-left", "integer-right", "superscript-right",
+        "inside-string", "inside-comment", "string-left", "commented-bang", "blanks-around",
+        "comment-between", "line-end-between", "shared-name",
+    ],
 )
 def test_expression_refs_need_an_identifier_on_both_sides(guard, refs):
     # `\u00b2` (superscript two) is numeric but not decimal, so it starts an identifier.
+    # A `!` inside a string or comment is no token: in "commented-bang" the
+    # identifiers on either side of the comment's `!` are `A` and `C`.
     body = f"rule Probe {{ from s : CPPivot!Variable ({guard}) to t : CPPivot!Variable() }}"
     rule = named(parse_transformation(wrap_rules(body)).rules, "Probe")
     assert {r.qualified for r in rule.guard.refs} == refs
@@ -187,3 +210,44 @@ def test_corpus_transformation_shapes(transformations):
     fr = by_name["forallRemoval"]
     assert sum(1 for r in fr.rules if r.lazy) == 8
     assert {r.parent_rule for r in fr.rules if r.parent_rule} == {"lazyExpression"}
+
+
+def _all_refs(t):
+    """Every ConceptRef of a transformation: each helper's context, type and body, then
+    each rule's source pattern, guard, target patterns and bindings."""
+    for h in t.helpers:
+        if h.context is not None:
+            yield h.context
+        yield from h.result_type.refs
+        yield from h.body.refs
+    for r in t.rules:
+        yield r.source_concept
+        if r.guard is not None:
+            yield from r.guard.refs
+        for tp in r.targets:
+            yield tp.concept
+            for b in tp.bindings:
+                yield from b.value.refs
+
+
+@pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["no-bom", "bom"])
+@pytest.mark.parametrize("head", [[], ["-- \u00e9"]], ids=["ascii", "non-ascii"])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_every_ref_is_placed_at_its_metamodel_name_under_every_line_end(end, head, bom):
+    # A leading non-ASCII comment moves the lexer out of ASCII mode, and a byte
+    # order mark is dropped before lexing, so positions count from after it.
+    placed = 0
+    for path in sorted(CORPUS.glob("*.tfm")):
+        source = bom + end.join([*head, *path.read_text(encoding="utf-8").splitlines()])
+        text = source.removeprefix("\ufeff")
+        tokens = reference_tokenize(text)
+        at = {
+            reference_position(text, offset): k
+            for k, ((_, _, offset), (_, after, _)) in enumerate(zip(tokens, tokens[1:]))
+            if after == "!"
+        }
+        for ref in _all_refs(parse_transformation(source)):
+            k = at[ref.line, ref.column]
+            assert [t for _, t, _ in tokens[k : k + 3]] == [ref.metamodel, "!", ref.name], (path.name, ref)
+            placed += 1
+    assert placed > 0
