@@ -12,7 +12,7 @@ from collections.abc import Mapping, Sequence
 from enum import Enum
 
 from .lexer import one_line
-from .metamodel import Metamodel, declaration_order, metamodel_facts
+from .metamodel import Metamodel, concrete_concepts, declaration_order
 from .transformation import ConceptRef, Rule, Transformation
 
 
@@ -110,7 +110,13 @@ def classify_rule(rule: Rule) -> RuleClassification:
     return RuleClassification(action, mode, targets)
 
 
-_last_findings: tuple = (None, None, None)  # the metamodels analyze saw last, and their kept findings
+_last_pair: tuple = (None, None, None)  # the metamodels analyze saw last, and what it derived from them
+
+
+def _facts(mm: Metamodel) -> tuple[tuple[str, ...], frozenset[str], frozenset[str]]:
+    """`mm`'s concrete concept names in declaration order, their set, and the names of all its concepts."""
+    concrete = concrete_concepts(mm)
+    return concrete, frozenset(concrete), mm.concept_names
 
 
 def analyze(
@@ -128,8 +134,17 @@ def analyze(
                 f"transformation '{t.name}' {verb} '{named}' but metamodel '{mm.name}' was supplied"
             )
 
-    source_concepts, source_concrete, source_names = metamodel_facts(source_mm)
-    target_concepts, target_concrete, target_names = metamodel_facts(target_mm)
+    # A library's transformations share their metamodels: each side's facts and one
+    # dict of findings per kind are kept for the pair of objects seen last, and an
+    # endogenous pair derives its facts once. Records are immutable, so nothing kept
+    # goes stale; another object, even an equal one, starts afresh.
+    global _last_pair
+    seen_source, seen_target, kept = _last_pair
+    if seen_source is not source_mm or seen_target is not target_mm:
+        source_facts = _facts(source_mm)
+        kept = source_facts, source_facts if target_mm is source_mm else _facts(target_mm), ({}, {}, {})
+        _last_pair = source_mm, target_mm, kept
+    (source_concepts, source_concrete, source_names), (target_concepts, target_concrete, target_names), findings = kept
 
     unknown: list[Lint] = []
     mentioned_source: set[str] = set()
@@ -206,16 +221,10 @@ def analyze(
     ignored_in = source_concrete - mentioned_source
     ignored_out = target_concrete - mentioned_target
 
-    # One Lint per concept, thousands on a wide metamodel and mostly the same
-    # in every transformation of a library: each is kept for the metamodels
-    # seen last, one dict per kind, and a missing one is built by
-    # tuple.__new__, without the namedtuple's Python-level __new__.
-    global _last_findings
-    seen_source, seen_target, kept = _last_findings
-    if seen_source is not source_mm or seen_target is not target_mm:
-        kept = ({}, {}, {})
-        _last_findings = source_mm, target_mm, kept
-    never, unread, unwritten = kept
+    # One Lint per concept, thousands on a wide metamodel and mostly the same in
+    # every transformation of a library, so each is kept; a missing one is built
+    # by tuple.__new__, without the namedtuple's Python-level __new__.
+    never, unread, unwritten = findings
     new = tuple.__new__
     diagnostics = sorted(unknown, key=lambda l: (l.line, l.column))
     diagnostics += [

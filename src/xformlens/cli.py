@@ -12,7 +12,7 @@ import sys
 
 from .analyzer import MetamodelMismatchError, analyze as run_analysis, lint_lines
 from .lexer import ParseError, one_line
-from .metamodel import Metamodel, declaration_order, metamodel_facts, parse_metamodel
+from .metamodel import Metamodel, concrete_concepts, declaration_order, parse_metamodel
 from .transformation import parse_transformation
 
 # `report` and `chain` are imported by the commands that run them, so that
@@ -51,7 +51,7 @@ def _analyze_all(metamodel_path: str, transformation_paths: tuple[str, ...]):
 
 
 def _concept_set(spec: str, mm: Metamodel, option: str) -> frozenset[str]:
-    _, concrete, _ = metamodel_facts(mm)
+    concrete = frozenset(concrete_concepts(mm))
     if spec.strip() == "ALL":
         return concrete
     names = [name for name in (raw.strip() for raw in spec.split(",")) if name]
@@ -64,7 +64,7 @@ def _concept_set(spec: str, mm: Metamodel, option: str) -> frozenset[str]:
 
 
 def _set_text(s: frozenset[str], mm: Metamodel) -> str:
-    return ", ".join(declaration_order(s, metamodel_facts(mm)[0]))
+    return ", ".join(declaration_order(s, concrete_concepts(mm)))
 
 
 class _ClosedStdout(io.TextIOBase):  # sys.stdout when fd 1 is closed, where Python leaves None

@@ -61,15 +61,13 @@ def tokenize(source: str, path: str | None = None) -> Tokens:
     starts = list(islice(accumulate(map(len, parts)), 0, None, 2))
     if "'" in texts:
         raise ParseError("unterminated string literal", *position(line_starts(source), starts[texts.index("'")]), path)
-    if "--" in source:  # a token that starts at a `--` is a comment: drop it from both lists
-        keep = [True] * len(starts)
-        for m in _DASH_PAIR.finditer(source):
-            k = bisect_left(starts, m.start())
-            if starts[k] == m.start():
-                keep[k] = False
-        texts, starts = compress(texts, keep), list(compress(starts, keep))
-    tokens = Tokens(texts)
-    tokens.starts = starts
+    keep = [True] * len(starts)  # a token that starts at a `--` is a comment: drop it from both lists
+    for m in _DASH_PAIR.finditer(source):
+        k = bisect_left(starts, m.start())
+        if starts[k] == m.start():
+            keep[k] = False
+    tokens = Tokens(compress(texts, keep))
+    tokens.starts = list(compress(starts, keep))
     return tokens
 
 

@@ -122,25 +122,6 @@ def concrete_concepts(mm: Metamodel) -> tuple[str, ...]:
     return tuple(c.name for c in mm.concepts if not c.abstract)
 
 
-_last_facts: tuple = (None, None)  # the Metamodel that metamodel_facts saw last, and its facts
-
-
-def metamodel_facts(mm: Metamodel) -> tuple[tuple[str, ...], frozenset[str], frozenset[str]]:
-    """`mm`'s concrete concept names in declaration order, their set, and the names of all its concepts.
-
-    A run analyzes every transformation against one metamodel, so the facts are
-    derived again only when another Metamodel object is asked about. Records are
-    immutable, so the kept facts cannot go stale.
-    """
-    global _last_facts
-    seen, facts = _last_facts
-    if seen is not mm:
-        concrete = concrete_concepts(mm)
-        facts = concrete, frozenset(concrete), mm.concept_names
-        _last_facts = mm, facts
-    return facts
-
-
 def declaration_order(names: Collection[str], universe: Iterable[str]) -> list[str]:
     """The members of `names` (a set) in `universe`'s order, such as a metamodel's declaration order."""
     return list(filter(names.__contains__, universe))

@@ -241,7 +241,7 @@ def _json_block(brackets: str, items: list[str], indent: str) -> str:
     return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{indent}{brackets[1]}"
 
 
-_last_json: tuple = (None, None, None)  # the target universe and depth report_to_json wrote at last, and its kept texts
+_last_json: tuple = (None, None, None)  # the target universe and depth written at last, and the diagnostic texts kept
 
 
 def report_to_json(report: AnalysisReport, indent: str = "") -> str:
@@ -258,30 +258,24 @@ def report_to_json(report: AnalysisReport, indent: str = "") -> str:
     def modes(values: frozenset[Mode]) -> str:
         return strings([m.value for m in Mode if m in values], i3)
 
-    # The reports of a library mostly repeat each other's profile entries and
-    # diagnostics, so the text of each distinct one, keyed by its whole value,
-    # is kept for the last target universe object and depth. No kept text is
-    # empty, so `get(key) or keep(key, text)` writes only the missing ones.
-    global _last_json
-    universe, seen_indent, kept = _last_json
-    if universe is not report.target_concepts or seen_indent != indent:
-        universe, kept = report.target_concepts, ({}, {})
-        _last_json = universe, indent, kept
-    entries, texts = kept
     # A profile entry's fields after its concept, written once per distinct profile.
     tails = {
         p: f'"copy_modes": {modes(p.copy_modes)},\n{i3}"mutation_modes": {modes(p.mutation_modes)},\n'
-        f'{i3}"produced_as": {strings(declaration_order(p.produced_as, universe), i3)}'
+        f'{i3}"produced_as": {strings(declaration_order(p.produced_as, report.target_concepts), i3)}'
         for p in set(report.profiles.values())
     }
-    get, keep = entries.get, entries.setdefault
-    profiles = [
-        get(e) or keep(e, f'{{\n{i3}"concept": {q(c)},\n{i3}{tails[p]}\n{i2}}}')
-        for e in report.profiles.items()
-        for c, p in (e,)
-    ]
-    # A diagnostic's fields in Lint's order; a position field only when known.
+    profiles = [f'{{\n{i3}"concept": {q(c)},\n{i3}{tails[p]}\n{i2}}}' for c, p in report.profiles.items()]
+    # The reports of a library mostly repeat each other's diagnostics, so the text
+    # of each distinct one, keyed by the whole Lint, is kept for the last target
+    # universe object and depth, which bounds the kept texts to one library. No
+    # kept text is empty, so `get(d) or keep(d, text)` writes only the missing ones.
+    global _last_json
+    universe, seen_indent, texts = _last_json
+    if universe is not report.target_concepts or seen_indent != indent:
+        texts = {}
+        _last_json = report.target_concepts, indent, texts
     get, keep = texts.get, texts.setdefault
+    # A diagnostic's fields in Lint's order; a position field only when known.
     diagnostics = [
         get(d) or keep(d, f'{{\n{i3}"kind": {q(kind)},\n{i3}"subject": {q(subject)},\n{i3}"message": {q(message)}'
         + ("" if file is None else f',\n{i3}"file": {q(file)}')

@@ -161,16 +161,19 @@ def test_analyze_derives_each_metamodels_facts_afresh(pivot):
 
 
 def test_a_library_shares_the_findings_it_has_in_common(pivot):
-    # analyze keeps its per-concept findings for the metamodel objects it saw
-    # last: transformations analyzed against one object share each finding
-    # they have in common, and an equal but distinct object starts afresh.
+    # analyze keeps its facts and per-concept findings for the pair of
+    # metamodel objects it saw last: transformations analyzed against one
+    # pair share one target_concepts tuple, on which the kept JSON texts
+    # depend, and each finding they have in common; an equal but distinct
+    # object starts afresh.
     def findings(body, source_mm, target_mm):
         t = parse_transformation(wrap_rules(body, source_mm=source_mm.name, target_mm=target_mm.name))
         report = analyze(t, source_mm, target_mm)
         return report, {(d.kind, d.subject): d for d in report.diagnostics}
 
-    _, first = findings(RULE_COPY_ALWAYS, pivot, pivot)
-    _, second = findings(RULE_MUTATION_GUARDED, pivot, pivot)
+    first_report, first = findings(RULE_COPY_ALWAYS, pivot, pivot)
+    second_report, second = findings(RULE_MUTATION_GUARDED, pivot, pivot)
+    assert second_report.target_concepts is first_report.target_concepts
     common = first.keys() & second.keys()
     assert {kind for kind, _ in common} == {"ignored_in", "ignored_out"}
     assert all(first[key] is second[key] for key in common)
@@ -190,6 +193,15 @@ def test_a_library_shares_the_findings_it_has_in_common(pivot):
     assert [subject for kind, subject in found if kind == "ignored_in"] == [
         subject for kind, subject in first if kind == "ignored_in"
     ]
+
+    # An exogenous library over the same two objects shares its facts and
+    # findings too: neither side's facts evict the other's.
+    body = RULE_MUTATION_GUARDED.replace("t : CPPivot!IntVal", "t : Other!Extra")
+    exo_next, found_next = findings(body, pivot, extra)
+    assert exo_next.target_concepts is exo.target_concepts == ("Extra", "DataType")
+    common = found.keys() & found_next.keys()
+    assert {kind for kind, _ in common} == {"ignored_in"}
+    assert all(found[key] is found_next[key] for key in common)
 
 
 def test_abstract_source_rule_contributes_nothing(pivot):
