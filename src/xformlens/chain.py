@@ -92,7 +92,8 @@ def plan_chain(
     The goal holds for a set S when required ⊆ S and S ∩ forbidden = ∅.
     Ties between equally short chains go to the lexicographically
     smallest transformation-name sequence; returns None when no valid
-    chain of at most max_len steps reaches the goal.
+    chain of at most max_len steps reaches the goal: at once, with the
+    same answer, when every step copies a forbidden initial concept.
     """
     initial_set = frozenset(initial)
     required_set = frozenset(required)
@@ -120,11 +121,18 @@ def plan_chain(
             if p and p.produced_as:
                 made[bits[c]] = mask(p.produced_as)
         steps.append((report, domain, copied, sum(made), made))
-    need, banned = mask(required_set), mask(forbidden_set)
+    need, banned, init = mask(required_set), mask(forbidden_set), mask(initial_set)
+
+    # A step keeps what it copies, so a forbidden initial concept that every step copies is never dropped.
+    kept = init
+    for _, _, copied, _, _ in steps:
+        kept &= copied
+    if kept & banned:
+        return None
 
     # States pair the current metamodel with the concept set; the start
     # state carries no metamodel, so any library entry may begin the chain.
-    start: tuple[str | None, int] = (None, mask(initial_set))
+    start: tuple[str | None, int] = (None, init)
     visited = {start}
     queue: deque[tuple[tuple[str | None, int], tuple[AnalysisReport, ...]]]
     queue = deque([(start, ())])

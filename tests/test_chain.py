@@ -148,6 +148,9 @@ def test_plan_single_step(reports, full):
         frozenset({"EnumLiteral", "Enumeration"}),
     )
     assert [s.transformation for s in plan.steps] == ["enumRemoval"]
+    # Every step copies Model, but only a forbidden concept of the initial set rules a plan out.
+    plan = plan_chain(list(reports.values()), full - {"Model"}, frozenset(), frozenset({"Model", "Class"}))
+    assert [s.transformation for s in plan.steps] == ["classInstantiation"]
 
 
 def test_plan_two_steps_orders_prerequisite_first(reports, full):
@@ -181,8 +184,26 @@ def test_plan_requirements_constrain_the_goal(reports, full):
     assert "Class" not in plan.final_set
 
 
+def _copied_by_every_step(names, library):
+    """The names that every step copies from inside its refined domain:
+    once in a concept set, no chain of these steps removes them."""
+    return [
+        c for c in sorted(names)
+        if all(c in r.refined_domain and r.profiles.get(c) and r.profiles[c].copy_modes for r in library)
+    ]
+
+
 def test_plan_unreachable_goal_returns_none(reports, full):
-    assert plan_chain(list(reports.values()), full, frozenset(), frozenset({"Forall"})) is None
+    # The paper's corpus: all five transformations copy 15 of the 20 concrete concepts.
+    library = list(reports.values())
+    always = _copied_by_every_step(full, library)
+    assert always == sorted([
+        "Predicate", "DataType", "Model", "Variable", "Constant", "Constraint", "If", "Forall",
+        "IndexVariable", "Array", "SetDomain", "IntervalDomain", "VariableExpr", "BoolVal", "IntVal",
+    ])
+    for c in always:
+        assert plan_chain(library, full, frozenset(), {c}) is None
+        assert reference_plan(library, full, frozenset(), {c}) is None
 
 
 def test_plan_honors_max_len(reports, full):
@@ -264,7 +285,7 @@ def _random_library(rng):
 
 def test_plan_matches_the_reference_search_on_random_libraries():
     rng = random.Random(25250)
-    found = {"none": 0, "held": 0, "long": 0, "warned": 0}
+    found = {"none": 0, "held": 0, "long": 0, "warned": 0, "kept": 0}
     for _ in range(400):
         names, library = _random_library(rng)
         # Mostly inside some step's refined domain, so that a first step is valid.
@@ -277,14 +298,20 @@ def test_plan_matches_the_reference_search_on_random_libraries():
         if not required | forbidden:  # one constraint at least
             required = {rng.choice(names)} - initial
             forbidden = frozenset() if required else {rng.choice(sorted(initial))}
+        always = _copied_by_every_step(initial, library)
+        if always and rng.random() < 0.3:  # a forbidden concept that no step removes
+            forbidden |= {rng.choice(always)}
         if rng.random() < 0.1:  # a goal that already holds
             required, forbidden = frozenset(), frozenset(c for c in names if c not in initial)
         max_len = rng.randint(0, 5)
         plan = plan_chain(library, initial, required, forbidden, max_len)
         assert plan == reference_plan(library, initial, required, forbidden, max_len)
+        if forbidden.intersection(always):
+            assert plan is None
+            found["kept"] += 1
         found["none"] += plan is None
         found["held"] += plan is not None and not plan.steps
         found["long"] += plan is not None and len(plan.steps) >= 2
         found["warned"] += plan is not None and any(s.warnings for s in plan.steps)
-    # Every outcome the search can have is drawn.
+    # Every outcome the search can have is drawn, and so is a forbidden concept no step removes.
     assert min(found.values()) >= 3, found

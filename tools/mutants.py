@@ -118,6 +118,12 @@ MUTANTS = [
      "a planned step's image keeps only its last producer's products"),
     (f"{PKG}/chain.py", "todo ^= low", "todo = 0",
      "a planned step's image takes the products of one producer only"),
+    # The proof of "no plan" before the search. Both are killed by test_plan_single_step, the first
+    # also by test_acceptance.py's test_criterion_6_planner_matches_exhaustive_search.
+    (f"{PKG}/chain.py", "for _, _, copied, _, _ in steps:", "for _, copied, _, _, _ in steps:",
+     "the proof takes a concept in every step's domain for one that every step copies"),
+    (f"{PKG}/chain.py", "kept = init", "kept = -1",
+     "the proof starts from every concept, not from the initial set"),
     # Tables and lexer.
     (f"{PKG}/report.py", "if len(top) == 1:", "if top:",
      "a size tie still collapses one group to ALL OTHER"),
