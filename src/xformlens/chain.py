@@ -93,7 +93,8 @@ def plan_chain(
     Ties between equally short chains go to the lexicographically
     smallest transformation-name sequence; returns None when no valid
     chain of at most max_len steps reaches the goal: at once, with the
-    same answer, when every step copies a forbidden initial concept.
+    same answer, when every step copies, or mutates into itself, a
+    forbidden initial concept.
     """
     initial_set = frozenset(initial)
     required_set = frozenset(required)
@@ -123,10 +124,11 @@ def plan_chain(
         steps.append((report, domain, copied, sum(made), made))
     need, banned, init = mask(required_set), mask(forbidden_set), mask(initial_set)
 
-    # A step keeps what it copies, so a forbidden initial concept that every step copies is never dropped.
+    # A step keeps what it copies or mutates into itself, so a forbidden initial concept that
+    # every step keeps is never dropped.
     kept = init
-    for _, _, copied, _, _ in steps:
-        kept &= copied
+    for _, _, copied, _, made in steps:
+        kept &= copied | sum(b for b, out in made.items() if out & b)
     if kept & banned:
         return None
 

@@ -48,6 +48,13 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"criterion {n}: {verdict} - {CRITERIA[n]}")
 
 
+@pytest.fixture(autouse=True)
+def _private_parse_cache(tmp_path, monkeypatch):
+    """Each test's CLI runs, in process or in a child, keep parsed inputs in a directory of
+    their own: never in the user's cache, and never warm from another test or another parser."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return fixture_corpus()

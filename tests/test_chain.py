@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
@@ -15,6 +16,7 @@ from xformlens import (
     plan_chain,
     propagate,
 )
+from xformlens import chain
 
 from helpers import enumerate_best_plan_length, naive_propagate, reference_plan, wrap_rules
 
@@ -184,26 +186,46 @@ def test_plan_requirements_constrain_the_goal(reports, full):
     assert "Class" not in plan.final_set
 
 
-def _copied_by_every_step(names, library):
-    """The names that every step copies from inside its refined domain:
-    once in a concept set, no chain of these steps removes them."""
+def _kept_by_every_step(names, library):
+    """The names that every step copies, or mutates into themselves, from inside its
+    refined domain: once in a concept set, no chain of these steps removes them."""
     return [
         c for c in sorted(names)
-        if all(c in r.refined_domain and r.profiles.get(c) and r.profiles[c].copy_modes for r in library)
+        if all(
+            c in r.refined_domain and r.profiles.get(c)
+            and (r.profiles[c].copy_modes or c in r.profiles[c].produced_as)
+            for r in library
+        )
     ]
 
 
-def test_plan_unreachable_goal_returns_none(reports, full):
-    # The paper's corpus: all five transformations copy 15 of the 20 concrete concepts.
+@pytest.fixture()
+def queues(monkeypatch):
+    """The number of search queues `plan_chain` makes, in a list."""
+    made = [0]
+
+    def counted(*args):
+        made[0] += 1
+        return deque(*args)
+
+    monkeypatch.setattr(chain, "deque", counted)
+    return made
+
+
+def test_plan_unreachable_goal_returns_none(reports, full, queues):
+    # The paper's corpus: all five transformations copy 15 of the 20 concrete concepts, and
+    # recordRemoval mutates PropertyExpr into PropertyExpr and VariableExpr while the rest copy it.
     library = list(reports.values())
-    always = _copied_by_every_step(full, library)
-    assert always == sorted([
+    kept = _kept_by_every_step(full, library)
+    assert kept == sorted([
         "Predicate", "DataType", "Model", "Variable", "Constant", "Constraint", "If", "Forall",
         "IndexVariable", "Array", "SetDomain", "IntervalDomain", "VariableExpr", "BoolVal", "IntVal",
+        "PropertyExpr",
     ])
-    for c in always:
+    for c in kept:
         assert plan_chain(library, full, frozenset(), {c}) is None
         assert reference_plan(library, full, frozenset(), {c}) is None
+    assert queues == [0]  # each answer is proved before the search
 
 
 def test_plan_honors_max_len(reports, full):
@@ -283,7 +305,7 @@ def _random_library(rng):
     return names, library
 
 
-def test_plan_matches_the_reference_search_on_random_libraries():
+def test_plan_matches_the_reference_search_on_random_libraries(queues):
     rng = random.Random(25250)
     found = {"none": 0, "held": 0, "long": 0, "warned": 0, "kept": 0}
     for _ in range(400):
@@ -298,16 +320,17 @@ def test_plan_matches_the_reference_search_on_random_libraries():
         if not required | forbidden:  # one constraint at least
             required = {rng.choice(names)} - initial
             forbidden = frozenset() if required else {rng.choice(sorted(initial))}
-        always = _copied_by_every_step(initial, library)
+        always = _kept_by_every_step(initial, library)
         if always and rng.random() < 0.3:  # a forbidden concept that no step removes
             forbidden |= {rng.choice(always)}
         if rng.random() < 0.1:  # a goal that already holds
             required, forbidden = frozenset(), frozenset(c for c in names if c not in initial)
         max_len = rng.randint(0, 5)
+        searched = queues[0]
         plan = plan_chain(library, initial, required, forbidden, max_len)
         assert plan == reference_plan(library, initial, required, forbidden, max_len)
         if forbidden.intersection(always):
-            assert plan is None
+            assert plan is None and queues[0] == searched  # proved before the search
             found["kept"] += 1
         found["none"] += plan is None
         found["held"] += plan is not None and not plan.steps
