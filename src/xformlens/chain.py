@@ -117,7 +117,7 @@ def plan_chain(
         domain, copied, made = mask(report.refined_domain), 0, {}  # made: a producer's bit -> its products
         for c in report.refined_domain:
             p = report.profiles.get(c)
-            if p and p.copy_modes:
+            if p and (p.copy_modes or c in p.produced_as):  # a concept mutated into itself is kept too
                 copied |= bits[c]
             if p and p.produced_as:
                 made[bits[c]] = mask(p.produced_as)
@@ -127,8 +127,8 @@ def plan_chain(
     # A step keeps what it copies or mutates into itself, so a forbidden initial concept that
     # every step keeps is never dropped.
     kept = init
-    for _, _, copied, _, made in steps:
-        kept &= copied | sum(b for b, out in made.items() if out & b)
+    for _, _, copied, _, _ in steps:
+        kept &= copied
     if kept & banned:
         return None
 

@@ -10,16 +10,13 @@ import io
 import marshal
 import os
 import sys
-from functools import partial
 
 from .analyzer import MetamodelMismatchError, analyze as run_analysis, lint_lines
 from .lexer import ParseError, one_line
-from .metamodel import Concept, Feature, Metamodel, concrete_concepts, declaration_order, parse_metamodel
-from .transformation import (
-    Binding, ConceptRef, Expression, Helper, Rule, TargetPattern, Transformation, parse_transformation,
+from .metamodel import (
+    Metamodel, concrete_concepts, declaration_order, metamodel_from_plain, metamodel_to_plain, parse_metamodel,
 )
-
-_new = tuple.__new__  # a rebuilt record has every field, so it skips the namedtuple's Python-level __new__
+from .transformation import parse_transformation, transformation_from_plain, transformation_to_plain
 
 # `report` and `chain` are imported by the commands that run them, so that
 # no command pays for a layer it never calls.
@@ -54,52 +51,7 @@ def _read(path: str) -> str:
 # Names an entry by its path. zlib.crc32 would do as well, but importing zlib adds about
 # 0.7 ms to each start (x86-64, 2 vCPUs), more than a small library's warm parse saves.
 _PRIME = 2**64 - 59
-
-
-def _plain(value):
-    """A record as nested plain tuples, which marshal writes."""
-    return tuple(map(_plain, value)) if isinstance(value, tuple) else value
-
-
-_ref = partial(_new, ConceptRef)
-
-
-def _metamodel(name, concepts) -> Metamodel:
-    """The Metamodel whose `_plain` form is (name, concepts)."""
-    return _new(Metamodel, (name, tuple([
-        _new(Concept, (cname, abstract, supertypes, tuple([_new(Feature, f) for f in features])))
-        for cname, abstract, supertypes, features in concepts
-    ])))
-
-
-def _expression(e) -> Expression | None:
-    return None if e is None else _new(Expression, (e[0], tuple(map(_ref, e[1]))))
-
-
-def _transformation(name, source_mm, target_mm, helpers, rules, source_path) -> Transformation:
-    """The Transformation whose `_plain` form is (name, source_mm, ..., source_path)."""
-    helpers = tuple([
-        _new(Helper, (hname, _expression(result_type), _expression(body), None if context is None else _ref(context)))
-        for hname, result_type, body, context in helpers
-    ])
-    rules = tuple([
-        _new(Rule, (
-            rname,
-            source_var,
-            _ref(source_concept),
-            tuple([
-                _new(TargetPattern, (var, _ref(concept), tuple([
-                    _new(Binding, (feature, _expression(value))) for feature, value in bindings
-                ])))
-                for var, concept, bindings in targets
-            ]),
-            _expression(guard),
-            lazy,
-            parent_rule,
-        ))
-        for rname, source_var, source_concept, targets, guard, lazy, parent_rule in rules
-    ])
-    return _new(Transformation, (name, source_mm, target_mm, helpers, rules, source_path))
+_FORMAT = 2  # raise it when `_parsed` stores an entry another way
 
 
 def _cache() -> tuple[str, tuple] | None:
@@ -111,28 +63,30 @@ def _cache() -> tuple[str, tuple] | None:
         if not os.path.isabs(base):  # no home directory to put it in
             return None
     here = os.path.dirname(__file__)
-    try:  # cli.py holds the stored layout
-        stats = [os.stat(os.path.join(here, f"{m}.py")) for m in ("lexer", "metamodel", "transformation", "cli")]
+    try:  # the parsers, and beside them the records and their plain form
+        stats = [os.stat(os.path.join(here, f"{m}.py")) for m in ("lexer", "metamodel", "transformation")]
     except OSError:  # no source files, as in a zip archive
         return None
-    return os.path.join(base, "xformlens"), (sys.implementation.cache_tag, *[(s.st_mtime_ns, s.st_size) for s in stats])
+    stamp = (sys.implementation.cache_tag, _FORMAT, *[(s.st_mtime_ns, s.st_size) for s in stats])
+    return os.path.join(base, "xformlens"), stamp
 
 
-def _parsed(path: str, parse, rebuild, cache):
-    """`parse(text, path=path)` of the file at `path`, kept in `cache` (from `_cache`) and rebuilt
-    by `rebuild` while the path string, the text and the parser's code stay the same."""
+def _parsed(path: str, parse, to_plain, from_plain, cache):
+    """`parse(text, path=path)` of the file at `path`, kept in `cache` (from `_cache`) as `to_plain`
+    writes it and rebuilt by `from_plain` while the path string, the text and the parser's code
+    stay the same."""
     text = _read(path)
     if cache is None:
         return parse(text, path=path)
     directory, stamp = cache
-    key = (stamp, rebuild.__name__, path, text)
+    key = (stamp, from_plain.__name__, path, text)
     # Two paths whose names share a hash take turns in one entry, each a miss for the other.
     entry = os.path.join(directory, "%016x" % (int.from_bytes(os.fsencode(os.path.abspath(path)), "big") % _PRIME))
     try:
         with open(entry, "rb") as fh:
             stored, record = marshal.loads(fh.read())
         if stored == key:
-            return rebuild(*record)
+            return from_plain(*record)
     except (OSError, EOFError, ValueError, TypeError, IndexError):  # missing, short, corrupt or foreign
         pass
     record = parse(text, path=path)  # a ParseError leaves no entry
@@ -140,18 +94,24 @@ def _parsed(path: str, parse, rebuild, cache):
     try:
         os.makedirs(directory, exist_ok=True)
         with open(temporary, "wb") as fh:
-            fh.write(marshal.dumps((key, _plain(record))))
+            fh.write(marshal.dumps((key, to_plain(record))))
         os.replace(temporary, entry)  # a reader sees a whole entry or none
     except OSError:  # an unwritable cache is no cache
-        pass
+        try:  # and keeps no part-written entry, as a full disk leaves
+            os.unlink(temporary)
+        except OSError:
+            pass
     return record
 
 
 def _analyze_all(metamodel_path: str, transformation_paths: tuple[str, ...]):
     cache = _cache()
-    mm = _parsed(metamodel_path, parse_metamodel, _metamodel, cache)
+    mm = _parsed(metamodel_path, parse_metamodel, metamodel_to_plain, metamodel_from_plain, cache)
     return mm, [
-        run_analysis(_parsed(p, parse_transformation, _transformation, cache), mm, mm) for p in transformation_paths
+        run_analysis(
+            _parsed(p, parse_transformation, transformation_to_plain, transformation_from_plain, cache), mm, mm
+        )
+        for p in transformation_paths
     ]
 
 

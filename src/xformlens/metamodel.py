@@ -32,6 +32,24 @@ class Metamodel(namedtuple("Metamodel", "name concepts", defaults=((),))):
         return frozenset(c.name for c in self.concepts)
 
 
+# The command line keeps a parsed input as nested plain tuples, which marshal writes. A field added
+# to a record above is added to both functions below.
+def metamodel_to_plain(mm: Metamodel) -> tuple:
+    """`mm` with every record in it written as a plain tuple."""
+    return mm.name, tuple([
+        (cname, abstract, supertypes, tuple(map(tuple, features)))
+        for cname, abstract, supertypes, features in mm.concepts
+    ])
+
+
+def metamodel_from_plain(name, concepts) -> Metamodel:
+    """The Metamodel whose `metamodel_to_plain` is (name, concepts)."""
+    return _new(Metamodel, (name, tuple([
+        _new(Concept, (cname, abstract, supertypes, tuple([_new(Feature, f) for f in features])))
+        for cname, abstract, supertypes, features in concepts
+    ])))
+
+
 def parse_metamodel(source_text: str, *, path: str | None = None) -> Metamodel:
     """Parse and validate a metamodel file.
 

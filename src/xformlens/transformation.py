@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from functools import partial
 
 from .lexer import ParseError, TokenStream, capture_balanced, is_ident
 
@@ -52,6 +53,77 @@ Transformation = namedtuple(
 )
 
 _new = tuple.__new__  # the parser gives every field, so it skips the namedtuple's Python-level __new__
+
+
+# The command line keeps a parsed input as nested plain tuples, which marshal writes. A field added
+# to a record above is added to both functions below.
+def _expression_to_plain(e: Expression | None) -> tuple | None:
+    return None if e is None else (e[0], tuple(map(tuple, e[1])))
+
+
+def transformation_to_plain(t: Transformation) -> tuple:
+    """`t` with every record in it written as a plain tuple."""
+    name, source_mm, target_mm, helpers, rules, source_path = t
+    helpers = tuple([
+        (
+            hname, _expression_to_plain(result_type), _expression_to_plain(body),
+            None if context is None else tuple(context),
+        )
+        for hname, result_type, body, context in helpers
+    ])
+    rules = tuple([
+        (
+            rname,
+            source_var,
+            tuple(source_concept),
+            tuple([
+                (var, tuple(concept), tuple([(feature, _expression_to_plain(value)) for feature, value in bindings]))
+                for var, concept, bindings in targets
+            ]),
+            _expression_to_plain(guard),
+            lazy,
+            parent_rule,
+        )
+        for rname, source_var, source_concept, targets, guard, lazy, parent_rule in rules
+    ])
+    return name, source_mm, target_mm, helpers, rules, source_path
+
+
+_ref_from_plain = partial(_new, ConceptRef)
+
+
+def _expression_from_plain(e) -> Expression | None:
+    return None if e is None else _new(Expression, (e[0], tuple(map(_ref_from_plain, e[1]))))
+
+
+def transformation_from_plain(name, source_mm, target_mm, helpers, rules, source_path) -> Transformation:
+    """The Transformation whose `transformation_to_plain` is (name, source_mm, ..., source_path)."""
+    helpers = tuple([
+        _new(Helper, (
+            hname, _expression_from_plain(result_type), _expression_from_plain(body),
+            None if context is None else _ref_from_plain(context),
+        ))
+        for hname, result_type, body, context in helpers
+    ])
+    rules = tuple([
+        _new(Rule, (
+            rname,
+            source_var,
+            _ref_from_plain(source_concept),
+            tuple([
+                _new(TargetPattern, (var, _ref_from_plain(concept), tuple([
+                    _new(Binding, (feature, _expression_from_plain(value)))
+                    for feature, value in bindings
+                ])))
+                for var, concept, bindings in targets
+            ]),
+            _expression_from_plain(guard),
+            lazy,
+            parent_rule,
+        ))
+        for rname, source_var, source_concept, targets, guard, lazy, parent_rule in rules
+    ])
+    return _new(Transformation, (name, source_mm, target_mm, helpers, rules, source_path))
 
 
 def parse_transformation(

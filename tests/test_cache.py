@@ -16,6 +16,8 @@ import pytest
 
 import xformlens
 from xformlens import cli
+from xformlens.metamodel import metamodel_from_plain, metamodel_to_plain
+from xformlens.transformation import transformation_from_plain, transformation_to_plain
 
 from helpers import CORPUS, FIXTURE_NAMES, random_metamodel_text, random_transformation_text, subprocess_env
 
@@ -93,7 +95,7 @@ def test_a_warm_run_prints_what_a_cold_run_prints(name, tmp_path, monkeypatch, c
 
 
 def _inputs(name, tmp_path):
-    """The (path, parser, rebuild) of every input of a workload at seed 1."""
+    """The (path, parser, to_plain, from_plain) of every input of a workload at seed 1."""
     workload = workloads.build(name, ROOT, 1)
     if name == "corpus-cli":
         paths = [CORPUS / "pivot.cmm", *(CORPUS / f"{n}.tfm" for n in FIXTURE_NAMES)]
@@ -102,17 +104,17 @@ def _inputs(name, tmp_path):
         paths = [tmp_path / rel for rel in workload.files]
     for path in paths:
         if path.suffix == ".cmm":
-            yield str(path), xformlens.parse_metamodel, cli._metamodel
+            yield str(path), xformlens.parse_metamodel, metamodel_to_plain, metamodel_from_plain
         else:
-            yield str(path), xformlens.parse_transformation, cli._transformation
+            yield str(path), xformlens.parse_transformation, transformation_to_plain, transformation_from_plain
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_a_rebuilt_record_has_every_value_and_exact_type_of_the_parsed_one(name, tmp_path):
     cache = cli._cache()
-    for path, parse, rebuild in _inputs(name, tmp_path):
-        parsed = cli._parsed(path, parse, rebuild, cache)
-        _same(cli._parsed(path, _unused, rebuild, cache), parsed, path)
+    for path, parse, to_plain, from_plain in _inputs(name, tmp_path):
+        parsed = cli._parsed(path, parse, to_plain, from_plain, cache)
+        _same(cli._parsed(path, _unused, to_plain, from_plain, cache), parsed, path)
         _same(parsed, parse(Path(path).read_text(encoding="utf-8"), path=path), path)
 
 
@@ -122,8 +124,8 @@ def test_a_rebuilt_random_record_has_every_value_and_exact_type_of_the_parsed_on
     for _ in range(200):
         mm = xformlens.parse_metamodel(random_metamodel_text(rng))
         t = xformlens.parse_transformation(random_transformation_text(rng, list(xformlens.concrete_concepts(mm))))
-        _same(cli._metamodel(*marshal.loads(marshal.dumps(cli._plain(mm)))), mm)
-        _same(cli._transformation(*marshal.loads(marshal.dumps(cli._plain(t)))), t)
+        _same(metamodel_from_plain(*marshal.loads(marshal.dumps(metamodel_to_plain(mm)))), mm)
+        _same(transformation_from_plain(*marshal.loads(marshal.dumps(transformation_to_plain(t)))), t)
         seen["context"] += sum(h.context is not None for h in t.helpers)
         seen["no context"] += sum(h.context is None for h in t.helpers)
         seen["multiplicity"] += sum(f.multiplicity is not None for c in mm.concepts for f in c.features)
@@ -166,7 +168,7 @@ def _damaged(key, record, data, other):
         "a record too short": marshal.dumps((key, record[:3])),
         "an expression too short": marshal.dumps((key, (*record[:4], ((*rule[:4], ("raw",), *rule[5:]),), record[5]))),
         "another stamp": marshal.dumps(((("other",), kind, path, text), other)),
-        "another kind": marshal.dumps(((stamp, "_metamodel", path, text), other)),
+        "another kind": marshal.dumps(((stamp, "metamodel_from_plain", path, text), other)),
         "another path": marshal.dumps(((stamp, kind, path + "x", text), other)),
         "another text": marshal.dumps(((stamp, kind, path, text + " "), other)),
     }
@@ -177,7 +179,7 @@ def test_a_damaged_or_foreign_entry_is_a_miss(tmp_path, capsys):
     cold = _run(["lint", *args], capsys)
     entry, key, record = _entries()[args[1]]
     # A clean record of another text, whose lint differs: a hit would print it.
-    other = cli._plain(xformlens.parse_transformation(TRANSFORMATION.replace("Ghost", "B"), path=args[1]))
+    other = transformation_to_plain(xformlens.parse_transformation(TRANSFORMATION.replace("Ghost", "B"), path=args[1]))
     for damage, data in _damaged(key, record, entry.read_bytes(), other).items():
         entry.write_bytes(data)
         assert _run(["lint", *args], capsys) == cold, damage
@@ -211,6 +213,19 @@ def test_an_unwritable_cache_is_no_cache(where, tmp_path):
     finally:
         if where == "a read-only directory":
             cache.chmod(0o755)
+
+
+def test_a_failed_write_leaves_no_file_behind(tmp_path, capsys):
+    """A full disk, here /dev/full under each temporary file's name, leaves neither an entry nor
+    the temporary file that it was being written to."""
+    args = _probe(tmp_path)
+    cold = _run(["lint", *args], capsys)
+    entries = [entry for entry, _, _ in _entries().values()]
+    for entry in entries:
+        entry.unlink()
+        Path(f"{entry}.{os.getpid()}").symlink_to("/dev/full")  # every write to it fails with ENOSPC
+    assert _run(["lint", *args], capsys) == cold
+    assert list(entries[0].parent.iterdir()) == []
 
 
 @pytest.mark.parametrize("xdg", [None, "", "relative"])

@@ -120,13 +120,13 @@ MUTANTS = [
      "a planned step's image takes the products of one producer only"),
     # The proof of "no plan" before the search. Both are killed by test_plan_single_step, the first
     # also by test_acceptance.py's test_criterion_6_planner_matches_exhaustive_search.
-    (f"{PKG}/chain.py", "for _, _, copied, _, made in steps:", "for _, copied, _, _, made in steps:",
+    (f"{PKG}/chain.py", "for _, _, copied, _, _ in steps:", "for _, copied, _, _, _ in steps:",
      "the proof takes a concept in every step's domain for one that every step copies"),
     (f"{PKG}/chain.py", "kept = init", "kept = -1",
      "the proof starts from every concept, not from the initial set"),
     # Killed by test_plan_unreachable_goal_returns_none (PropertyExpr) and
     # test_plan_matches_the_reference_search_on_random_libraries.
-    (f"{PKG}/chain.py", "kept &= copied | sum(b for b, out in made.items() if out & b)", "kept &= copied",
+    (f"{PKG}/chain.py", "if p and (p.copy_modes or c in p.produced_as):", "if p and p.copy_modes:",
      "the proof misses a concept that a step mutates into itself"),
     # Tables and lexer.
     (f"{PKG}/report.py", "if len(top) == 1:", "if top:",
@@ -206,14 +206,18 @@ MUTANTS = [
     (f"{PKG}/cli.py", "if value < 0:", "if value < -1:",
      "`--max-len -1` is accepted"),
     # The cache of parsed inputs. Killed by test_cache.py's
-    # test_an_edit_that_keeps_the_size_and_mtime_is_parsed_again, test_a_path_spelled_another_way_is_parsed_again
-    # and test_a_rebuilt_record_has_every_value_and_exact_type_of_the_parsed_one, in this order.
-    (f"{PKG}/cli.py", "key = (stamp, rebuild.__name__, path, text)", "key = (stamp, rebuild.__name__, path)",
+    # test_an_edit_that_keeps_the_size_and_mtime_is_parsed_again, test_a_path_spelled_another_way_is_parsed_again,
+    # test_a_rebuilt_record_has_every_value_and_exact_type_of_the_parsed_one and
+    # test_a_failed_write_leaves_no_file_behind, in this order.
+    (f"{PKG}/cli.py", "key = (stamp, from_plain.__name__, path, text)", "key = (stamp, from_plain.__name__, path)",
      "the cache key leaves out the text"),
-    (f"{PKG}/cli.py", "key = (stamp, rebuild.__name__, path, text)", "key = (stamp, rebuild.__name__, text)",
+    (f"{PKG}/cli.py", "key = (stamp, from_plain.__name__, path, text)", "key = (stamp, from_plain.__name__, text)",
      "the cache key leaves out the path string"),
-    (f"{PKG}/cli.py", "_ref = partial(_new, ConceptRef)", "_ref = lambda r: _new(ConceptRef, (*r[:2], r[3], r[2]))",
+    (f"{PKG}/transformation.py", "_ref_from_plain = partial(_new, ConceptRef)",
+     "_ref_from_plain = lambda r: _new(ConceptRef, (*r[:2], r[3], r[2]))",
      "the rebuild swaps a ConceptRef's line and column"),
+    (f"{PKG}/cli.py", "            os.unlink(temporary)\n", "            pass\n",
+     "a failed write leaves its temporary file in the cache"),
     # Process entry. Killed by test_the_process_entry_disables_the_collector_before_the_commands_load
     # and test_the_process_entry_freezes_the_heap_before_exit.
     (f"{PKG}/__main__.py", "gc.disable()\n", "pass\n",
