@@ -227,23 +227,17 @@ def analyze(
     never, unread, unwritten = findings
     new = tuple.__new__
     diagnostics = sorted(unknown, key=lambda l: (l.line, l.column))
-    diagnostics += [
-        never.get(c) or never.setdefault(c, new(Lint, (
-            "never_processed", c, f"concept '{c}' is referenced but never copied or mutated", None, None, None)))
-        for c in declaration_order(mentioned_source, source_concepts)
-        if c not in folded
-    ]
-    diagnostics += [
-        unread.get(c) or unread.setdefault(c, new(Lint, (
-            "ignored_in", c, f"concept '{c}' appears in no source pattern, guard, binding, or helper body",
-            None, None, None)))
-        for c in declaration_order(ignored_in, source_concepts)
-    ]
-    diagnostics += [
-        unwritten.get(c) or unwritten.setdefault(c, new(Lint, (
-            "ignored_out", c, f"concept '{c}' appears in no target pattern", None, None, None)))
-        for c in declaration_order(ignored_out, target_concepts)
-    ]
+    for kept, kind, names, universe, tail in (
+        (never, "never_processed", mentioned_source.difference(folded), source_concepts,
+         "is referenced but never copied or mutated"),
+        (unread, "ignored_in", ignored_in, source_concepts,
+         "appears in no source pattern, guard, binding, or helper body"),
+        (unwritten, "ignored_out", ignored_out, target_concepts, "appears in no target pattern"),
+    ):
+        diagnostics += [
+            kept.get(c) or kept.setdefault(c, new(Lint, (kind, c, f"concept '{c}' {tail}", None, None, None)))
+            for c in declaration_order(names, universe)
+        ]
 
     return AnalysisReport(
         transformation=t.name,

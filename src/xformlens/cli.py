@@ -72,9 +72,9 @@ def _cache() -> tuple[str, tuple] | None:
 
 
 def _parsed(path: str, parse, to_plain, from_plain, cache):
-    """`parse(text, path=path)` of the file at `path`, kept in `cache` (from `_cache`) as `to_plain`
-    writes it and rebuilt by `from_plain` while the path string, the text and the parser's code
-    stay the same."""
+    """`parse(text, path=path)` of the file at `path`, kept in `cache` (from `_cache`) as the plain
+    tuples `to_plain` writes and rebuilt from them by `from_plain`, the two ends of one walk in the
+    parsing module, while the path string, the text and the parser's code stay the same."""
     text = _read(path)
     if cache is None:
         return parse(text, path=path)
@@ -86,7 +86,7 @@ def _parsed(path: str, parse, to_plain, from_plain, cache):
         with open(entry, "rb") as fh:
             stored, record = marshal.loads(fh.read())
         if stored == key:
-            return from_plain(*record)
+            return from_plain(record)
     except (OSError, EOFError, ValueError, TypeError, IndexError):  # missing, short, corrupt or foreign
         pass
     record = parse(text, path=path)  # a ParseError leaves no entry

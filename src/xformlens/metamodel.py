@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Collection, Iterable
+from functools import partial
 from graphlib import CycleError, TopologicalSorter
 
 from .lexer import TokenStream, capture_balanced, describe
@@ -32,22 +33,27 @@ class Metamodel(namedtuple("Metamodel", "name concepts", defaults=((),))):
         return frozenset(c.name for c in self.concepts)
 
 
-# The command line keeps a parsed input as nested plain tuples, which marshal writes. A field added
-# to a record above is added to both functions below.
-def metamodel_to_plain(mm: Metamodel) -> tuple:
-    """`mm` with every record in it written as a plain tuple."""
-    return mm.name, tuple([
-        (cname, abstract, supertypes, tuple(map(tuple, features)))
-        for cname, abstract, supertypes, features in mm.concepts
-    ])
-
-
-def metamodel_from_plain(name, concepts) -> Metamodel:
-    """The Metamodel whose `metamodel_to_plain` is (name, concepts)."""
-    return _new(Metamodel, (name, tuple([
-        _new(Concept, (cname, abstract, supertypes, tuple([_new(Feature, f) for f in features])))
+# The command line keeps a parsed input as nested plain tuples, which marshal writes; this walk alone
+# states their layout. It builds each record by tuple.__new__ as the type given for its kind: `tuple`
+# for every kind writes the plain form, since tuple.__new__(tuple, x) is a plain tuple of x's items,
+# and Metamodel, Concept and Feature rebuild the Metamodel.
+def _walk(mm, metamodel, concept, feature):
+    feature = partial(_new, feature)
+    name, concepts = mm
+    return _new(metamodel, (name, tuple([
+        _new(concept, (cname, abstract, supertypes, tuple(map(feature, features))))
         for cname, abstract, supertypes, features in concepts
     ])))
+
+
+def metamodel_to_plain(mm: Metamodel) -> tuple:
+    """`mm` with every record in it written as a plain tuple."""
+    return _walk(mm, tuple, tuple, tuple)
+
+
+def metamodel_from_plain(plain: tuple) -> Metamodel:
+    """The Metamodel whose `metamodel_to_plain` is `plain`."""
+    return _walk(plain, Metamodel, Concept, Feature)
 
 
 def parse_metamodel(source_text: str, *, path: str | None = None) -> Metamodel:

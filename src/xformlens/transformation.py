@@ -55,75 +55,41 @@ Transformation = namedtuple(
 _new = tuple.__new__  # the parser gives every field, so it skips the namedtuple's Python-level __new__
 
 
-# The command line keeps a parsed input as nested plain tuples, which marshal writes. A field added
-# to a record above is added to both functions below.
-def _expression_to_plain(e: Expression | None) -> tuple | None:
-    return None if e is None else (e[0], tuple(map(tuple, e[1])))
+# The command line keeps a parsed input as nested plain tuples, which marshal writes; this walk alone
+# states their layout. It builds each record by tuple.__new__ as the type given for its kind: `tuple`
+# for every kind writes the plain form, since tuple.__new__(tuple, x) is a plain tuple of x's items,
+# and the record types, in the order `transformation_from_plain` gives them, rebuild the Transformation.
+def _walk(t, transformation, helper, rule, target, binding, expression, ref):
+    ref = partial(_new, ref)
+
+    def expr(e):
+        return None if e is None else _new(expression, (e[0], tuple(map(ref, e[1]))))
+
+    name, source_mm, target_mm, helpers, rules, source_path = t
+    helpers = tuple([
+        _new(helper, (hname, expr(result_type), expr(body), None if context is None else ref(context)))
+        for hname, result_type, body, context in helpers
+    ])
+    rules = tuple([
+        _new(rule, (rname, source_var, ref(source_concept), tuple([
+            _new(target, (var, ref(concept), tuple([
+                _new(binding, (feature, expr(value))) for feature, value in bindings
+            ])))
+            for var, concept, bindings in targets
+        ]), expr(guard), lazy, parent_rule))
+        for rname, source_var, source_concept, targets, guard, lazy, parent_rule in rules
+    ])
+    return _new(transformation, (name, source_mm, target_mm, helpers, rules, source_path))
 
 
 def transformation_to_plain(t: Transformation) -> tuple:
     """`t` with every record in it written as a plain tuple."""
-    name, source_mm, target_mm, helpers, rules, source_path = t
-    helpers = tuple([
-        (
-            hname, _expression_to_plain(result_type), _expression_to_plain(body),
-            None if context is None else tuple(context),
-        )
-        for hname, result_type, body, context in helpers
-    ])
-    rules = tuple([
-        (
-            rname,
-            source_var,
-            tuple(source_concept),
-            tuple([
-                (var, tuple(concept), tuple([(feature, _expression_to_plain(value)) for feature, value in bindings]))
-                for var, concept, bindings in targets
-            ]),
-            _expression_to_plain(guard),
-            lazy,
-            parent_rule,
-        )
-        for rname, source_var, source_concept, targets, guard, lazy, parent_rule in rules
-    ])
-    return name, source_mm, target_mm, helpers, rules, source_path
+    return _walk(t, *[tuple] * 7)
 
 
-_ref_from_plain = partial(_new, ConceptRef)
-
-
-def _expression_from_plain(e) -> Expression | None:
-    return None if e is None else _new(Expression, (e[0], tuple(map(_ref_from_plain, e[1]))))
-
-
-def transformation_from_plain(name, source_mm, target_mm, helpers, rules, source_path) -> Transformation:
-    """The Transformation whose `transformation_to_plain` is (name, source_mm, ..., source_path)."""
-    helpers = tuple([
-        _new(Helper, (
-            hname, _expression_from_plain(result_type), _expression_from_plain(body),
-            None if context is None else _ref_from_plain(context),
-        ))
-        for hname, result_type, body, context in helpers
-    ])
-    rules = tuple([
-        _new(Rule, (
-            rname,
-            source_var,
-            _ref_from_plain(source_concept),
-            tuple([
-                _new(TargetPattern, (var, _ref_from_plain(concept), tuple([
-                    _new(Binding, (feature, _expression_from_plain(value)))
-                    for feature, value in bindings
-                ])))
-                for var, concept, bindings in targets
-            ]),
-            _expression_from_plain(guard),
-            lazy,
-            parent_rule,
-        ))
-        for rname, source_var, source_concept, targets, guard, lazy, parent_rule in rules
-    ])
-    return _new(Transformation, (name, source_mm, target_mm, helpers, rules, source_path))
+def transformation_from_plain(plain: tuple) -> Transformation:
+    """The Transformation whose `transformation_to_plain` is `plain`."""
+    return _walk(plain, Transformation, Helper, Rule, TargetPattern, Binding, Expression, ConceptRef)
 
 
 def parse_transformation(

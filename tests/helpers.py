@@ -147,9 +147,10 @@ def _random_expr(rng: random.Random, names: list[str]) -> str:
 
 
 def random_transformation_text(
-    rng: random.Random, concept_names: list[str], max_rules: int = 8
+    rng: random.Random, concept_names: list[str], max_rules: int = 8, extends: bool = False
 ) -> str:
-    """Random module over metamodel MM; may reference unknown concepts."""
+    """Random module over metamodel MM; may reference unknown concepts. With `extends`, a rule
+    may extend an earlier one; without it, the draws are those of a module with no `extends`."""
     parts = [f"module t{rng.randrange(10_000)};", "create OUT : MM from IN : MM;", ""]
     for h in range(rng.randint(0, 2)):
         ctx = ""
@@ -160,6 +161,7 @@ def random_transformation_text(
         )
     for i in range(rng.randint(0, max_rules)):
         lazy = "lazy " if rng.random() < 0.15 else ""
+        parent = f" extends r{rng.randrange(i)}" if extends and i and rng.random() < 0.3 else ""
         source = rng.choice(concept_names + ["Ghost"])
         guard = ""
         if rng.random() < 0.5:
@@ -173,7 +175,7 @@ def random_transformation_text(
             )
             targets.append(f"t{j} : MM!{concept}({bindings})")
         parts.append(
-            f"{lazy}rule r{i} {{ from s : MM!{source}{guard} to "
+            f"{lazy}rule r{i}{parent} {{ from s : MM!{source}{guard} to "
             + ", ".join(targets)
             + " }"
         )

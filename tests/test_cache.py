@@ -120,17 +120,19 @@ def test_a_rebuilt_record_has_every_value_and_exact_type_of_the_parsed_one(name,
 
 def test_a_rebuilt_random_record_has_every_value_and_exact_type_of_the_parsed_one():
     rng = random.Random(3030)
-    seen = {"context": 0, "no context": 0, "multiplicity": 0, "lazy": 0, "abstract": 0}
+    seen = {"context": 0, "no context": 0, "multiplicity": 0, "lazy": 0, "abstract": 0, "parent rule": 0}
     for _ in range(200):
         mm = xformlens.parse_metamodel(random_metamodel_text(rng))
-        t = xformlens.parse_transformation(random_transformation_text(rng, list(xformlens.concrete_concepts(mm))))
-        _same(metamodel_from_plain(*marshal.loads(marshal.dumps(metamodel_to_plain(mm)))), mm)
-        _same(transformation_from_plain(*marshal.loads(marshal.dumps(transformation_to_plain(t)))), t)
+        names = list(xformlens.concrete_concepts(mm))
+        t = xformlens.parse_transformation(random_transformation_text(rng, names, extends=True))
+        _same(metamodel_from_plain(marshal.loads(marshal.dumps(metamodel_to_plain(mm)))), mm)
+        _same(transformation_from_plain(marshal.loads(marshal.dumps(transformation_to_plain(t)))), t)
         seen["context"] += sum(h.context is not None for h in t.helpers)
         seen["no context"] += sum(h.context is None for h in t.helpers)
         seen["multiplicity"] += sum(f.multiplicity is not None for c in mm.concepts for f in c.features)
         seen["lazy"] += sum(r.lazy for r in t.rules)
         seen["abstract"] += sum(c.abstract for c in mm.concepts)
+        seen["parent rule"] += sum(r.parent_rule is not None for r in t.rules)
     assert min(seen.values()) >= 10, seen
 
 
