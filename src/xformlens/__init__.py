@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "analyzer": (
         "AnalysisReport", "ConceptProfile", "FixedPointVerdict", "Lint", "MetamodelMismatchError", "Mode",
-        "RuleClassification", "analyze", "classify_rule", "detect_fixed_point",
+        "RuleClassification", "analyze", "analyze_library", "classify_rule", "detect_fixed_point",
     ),
     "chain": ("ChainCompatibilityError", "ChainPlan", "ChainStep", "check_chain", "plan_chain", "propagate"),
     "lexer": ("ParseError",),

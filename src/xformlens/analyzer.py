@@ -8,7 +8,7 @@ refined domain and codomain, a fixed-point verdict, and diagnostics.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
 
 from .lexer import one_line
@@ -110,41 +110,48 @@ def classify_rule(rule: Rule) -> RuleClassification:
     return RuleClassification(action, mode, targets)
 
 
-_last_pair: tuple = (None, None, None)  # the metamodels analyze saw last, and what it derived from them
-
-
 def _facts(mm: Metamodel) -> tuple[tuple[str, ...], frozenset[str], frozenset[str]]:
     """`mm`'s concrete concept names in declaration order, their set, and the names of all its concepts."""
     concrete = concrete_concepts(mm)
     return concrete, frozenset(concrete), mm.concept_names
 
 
+def _shared(source_mm: Metamodel, target_mm: Metamodel) -> tuple:
+    """What the transformations of a library over `source_mm` and `target_mm` have in common:
+    each side's `_facts`, derived once for an endogenous pair, and one dict of findings per kind."""
+    source_facts = _facts(source_mm)
+    return source_facts, source_facts if target_mm is source_mm else _facts(target_mm), ({}, {}, {})
+
+
+def analyze_library(
+    transformations: Iterable[Transformation], source_mm: Metamodel, target_mm: Metamodel
+) -> list[AnalysisReport]:
+    """`analyze` each transformation, taken lazily, with one `_shared` for all: the
+    reports share their `target_concepts` tuple and each finding they have in common."""
+    shared = _shared(source_mm, target_mm)
+    return [analyze(t, source_mm, target_mm, shared) for t in transformations]
+
+
 def analyze(
-    t: Transformation, source_mm: Metamodel, target_mm: Metamodel
+    t: Transformation, source_mm: Metamodel, target_mm: Metamodel, shared: tuple | None = None
 ) -> AnalysisReport:
     """Compute the full analysis report for one transformation.
 
     Unresolvable concept references never abort the analysis: each one
     becomes an unknown_concept diagnostic, and a rule whose source or
     target pattern fails to resolve is left out of the profiles.
+    `shared` is `_shared(source_mm, target_mm)`, built afresh when None.
     """
     for verb, named, mm in ("reads from", t.source_metamodel, source_mm), ("writes to", t.target_metamodel, target_mm):
         if named != mm.name:
+            where = f"{t.source_path}: " if t.source_path else ""  # as a ParseError names its file
             raise MetamodelMismatchError(
-                f"transformation '{t.name}' {verb} '{named}' but metamodel '{mm.name}' was supplied"
+                f"{where}transformation '{t.name}' {verb} '{named}' but metamodel '{mm.name}' was supplied"
             )
 
-    # A library's transformations share their metamodels: each side's facts and one
-    # dict of findings per kind are kept for the pair of objects seen last, and an
-    # endogenous pair derives its facts once. Records are immutable, so nothing kept
-    # goes stale; another object, even an equal one, starts afresh.
-    global _last_pair
-    seen_source, seen_target, kept = _last_pair
-    if seen_source is not source_mm or seen_target is not target_mm:
-        source_facts = _facts(source_mm)
-        kept = source_facts, source_facts if target_mm is source_mm else _facts(target_mm), ({}, {}, {})
-        _last_pair = source_mm, target_mm, kept
-    (source_concepts, source_concrete, source_names), (target_concepts, target_concrete, target_names), findings = kept
+    (source_concepts, source_concrete, source_names), (target_concepts, target_concrete, target_names), findings = (
+        shared or _shared(source_mm, target_mm)
+    )
 
     unknown: list[Lint] = []
     mentioned_source: set[str] = set()

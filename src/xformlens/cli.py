@@ -11,7 +11,7 @@ import marshal
 import os
 import sys
 
-from .analyzer import MetamodelMismatchError, analyze as run_analysis, lint_lines
+from .analyzer import MetamodelMismatchError, analyze_library, lint_lines
 from .lexer import ParseError, one_line
 from .metamodel import (
     Metamodel, concrete_concepts, declaration_order, metamodel_from_plain, metamodel_to_plain, parse_metamodel,
@@ -107,12 +107,10 @@ def _parsed(path: str, parse, to_plain, from_plain, cache):
 def _analyze_all(metamodel_path: str, transformation_paths: tuple[str, ...]):
     cache = _cache()
     mm = _parsed(metamodel_path, parse_metamodel, metamodel_to_plain, metamodel_from_plain, cache)
-    return mm, [
-        run_analysis(
-            _parsed(p, parse_transformation, transformation_to_plain, transformation_from_plain, cache), mm, mm
-        )
-        for p in transformation_paths
-    ]
+    # Lazily, so that each file is parsed just before it is analyzed: the first bad file in argument order is reported.
+    parsed = (_parsed(p, parse_transformation, transformation_to_plain, transformation_from_plain, cache)
+              for p in transformation_paths)
+    return mm, analyze_library(parsed, mm, mm)
 
 
 def _concept_set(spec: str, mm: Metamodel, option: str) -> frozenset[str]:

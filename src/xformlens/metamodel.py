@@ -9,7 +9,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Collection, Iterable
 from functools import partial
-from graphlib import CycleError, TopologicalSorter
 
 from .lexer import TokenStream, capture_balanced, describe
 
@@ -129,6 +128,7 @@ def _validate_inheritance(
     # graphlib walks nodes, and each node's successors (here its supertypes),
     # in insertion order and without recursion, so a deep chain cannot exhaust
     # the stack. All concepts go in before any edge: the walk starts at the first.
+    from graphlib import CycleError, TopologicalSorter  # here, off the start-up path of every command
     graph = TopologicalSorter()
     for name in declared_at:
         graph.add(name)

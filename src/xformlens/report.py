@@ -199,9 +199,9 @@ def render(table: Table, fmt: str) -> str:
 def render_reports(reports: Sequence[AnalysisReport], fmt: str) -> str:
     """The `analyze` output: a JSON array, or the ignored and referenced tables then one table per report."""
     if fmt == "json":  # one join of the brackets, the report texts and their separators: one copy of the output
-        parts = []
+        parts, texts = [], {}
         for r in reports:
-            parts += (",\n  ", report_to_json(r, "  "))
+            parts += (",\n  ", report_to_json(r, "  ", texts))
         if not parts:
             return "[]\n"
         parts[0] = "[\n  "
@@ -241,13 +241,14 @@ def _json_block(brackets: str, items: list[str], indent: str) -> str:
     return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{indent}{brackets[1]}"
 
 
-_last_json: tuple = (None, None, None)  # the target universe and depth written at last, and the diagnostic texts kept
-
-
-def report_to_json(report: AnalysisReport, indent: str = "") -> str:
+def report_to_json(report: AnalysisReport, indent: str = "", texts: dict | None = None) -> str:
     """The report's JSON text in the documented shape, byte for byte as
     json.dumps(..., indent=2) lays it out with every line after the first
-    prefixed by `indent`, its depth in an enclosing array; json.loads gives the dict."""
+    prefixed by `indent`, its depth in an enclosing array; json.loads gives the dict.
+
+    A dict `texts` keeps the text of each diagnostic, keyed by the whole
+    Lint, for later calls at the same `indent`: the reports of a library
+    mostly repeat each other's diagnostics. None keeps them for this call."""
     from json.encoder import encode_basestring_ascii as q  # json.dumps's escaper under ensure_ascii
 
     i1, i2, i3 = indent + "  ", indent + "    ", indent + "      "
@@ -265,16 +266,8 @@ def report_to_json(report: AnalysisReport, indent: str = "") -> str:
         for p in set(report.profiles.values())
     }
     profiles = [f'{{\n{i3}"concept": {q(c)},\n{i3}{tails[p]}\n{i2}}}' for c, p in report.profiles.items()]
-    # The reports of a library mostly repeat each other's diagnostics, so the text
-    # of each distinct one, keyed by the whole Lint, is kept for the last target
-    # universe object and depth, which bounds the kept texts to one library. No
-    # kept text is empty, so `get(d) or keep(d, text)` writes only the missing ones.
-    global _last_json
-    universe, seen_indent, texts = _last_json
-    if universe is not report.target_concepts or seen_indent != indent:
-        texts = {}
-        _last_json = report.target_concepts, indent, texts
-    get, keep = texts.get, texts.setdefault
+    texts = {} if texts is None else texts  # not `texts or {}`: a caller's dict starts empty
+    get, keep = texts.get, texts.setdefault  # no kept text is empty, so `get(d) or keep(d, text)` writes the missing ones
     # A diagnostic's fields in Lint's order; a position field only when known.
     diagnostics = [
         get(d) or keep(d, f'{{\n{i3}"kind": {q(kind)},\n{i3}"subject": {q(subject)},\n{i3}"message": {q(message)}'

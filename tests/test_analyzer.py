@@ -1,6 +1,8 @@
 """Rule classification, report construction, lints, and fixed points."""
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from xformlens import (
@@ -8,6 +10,7 @@ from xformlens import (
     MetamodelMismatchError,
     Mode,
     analyze,
+    analyze_library,
     classify_rule,
     detect_fixed_point,
     parse_metamodel,
@@ -133,9 +136,8 @@ rule Flatten {{
 
 
 def test_analyze_derives_each_metamodels_facts_afresh(pivot):
-    # analyze reuses what it derived from the metamodel object it saw last.
-    # Each call here differs from the one before it, so stale facts show as
-    # wrong profiles, ignored sets or unknown concepts.
+    # Each call here differs from the one before it, so facts kept from an
+    # earlier call would show as wrong profiles, ignored sets or unknown concepts.
     narrowed = pivot._replace(concepts=tuple(
         c._replace(abstract=True) if c.name == "Record" else c for c in pivot.concepts if c.name != "Enumeration"
     ))
@@ -161,47 +163,65 @@ def test_analyze_derives_each_metamodels_facts_afresh(pivot):
 
 
 def test_a_library_shares_the_findings_it_has_in_common(pivot):
-    # analyze keeps its facts and per-concept findings for the pair of
-    # metamodel objects it saw last: transformations analyzed against one
-    # pair share one target_concepts tuple, on which the kept JSON texts
-    # depend, and each finding they have in common; an equal but distinct
-    # object starts afresh.
-    def findings(body, source_mm, target_mm):
-        t = parse_transformation(wrap_rules(body, source_mm=source_mm.name, target_mm=target_mm.name))
-        report = analyze(t, source_mm, target_mm)
-        return report, {(d.kind, d.subject): d for d in report.diagnostics}
+    # analyze_library derives each side's facts and per-concept findings once
+    # per call: the reports of one call share one target_concepts tuple and
+    # each finding they have in common, and two calls share nothing.
+    def library(bodies, source_mm, target_mm):
+        ts = [parse_transformation(wrap_rules(b, source_mm=source_mm.name, target_mm=target_mm.name)) for b in bodies]
+        reports = analyze_library(ts, source_mm, target_mm)
+        return reports, [{(d.kind, d.subject): d for d in r.diagnostics} for r in reports]
 
-    first_report, first = findings(RULE_COPY_ALWAYS, pivot, pivot)
-    second_report, second = findings(RULE_MUTATION_GUARDED, pivot, pivot)
+    (first_report, second_report), (first, second) = library([RULE_COPY_ALWAYS, RULE_MUTATION_GUARDED], pivot, pivot)
     assert second_report.target_concepts is first_report.target_concepts
     common = first.keys() & second.keys()
     assert {kind for kind, _ in common} == {"ignored_in", "ignored_out"}
     assert all(first[key] is second[key] for key in common)
 
-    twin = pivot._replace()
-    assert twin == pivot and twin is not pivot
-    _, again = findings(RULE_COPY_ALWAYS, twin, twin)
-    assert again == first
+    [again_report], [again] = library([RULE_COPY_ALWAYS], pivot, pivot)
+    assert again == first and again_report == first_report
+    assert again_report.target_concepts is not first_report.target_concepts
     assert not any(again[key] is first[key] for key in first)
 
-    # An exogenous pair lists ignored_out over the target's concepts, in its
-    # declaration order, after endogenous findings were kept for the source.
+    # An exogenous library lists ignored_out over the target's concepts, in
+    # its declaration order, and shares its facts and findings too.
     extra = parse_metamodel("metamodel Other { class Extra {} class DataType {} abstract class Base {} }")
-    exo, found = findings(RULE_COPY_ALWAYS.replace("t : CPPivot!", "t : Other!"), pivot, extra)
-    assert exo.ignored_out == {"Extra"}
+    bodies = [RULE_COPY_ALWAYS.replace("t : CPPivot!", "t : Other!"),
+              RULE_MUTATION_GUARDED.replace("t : CPPivot!IntVal", "t : Other!Extra")]
+    (exo, exo_next), (found, found_next) = library(bodies, pivot, extra)
+    assert exo.ignored_out == {"Extra"} and exo_next.ignored_out == {"DataType"}
     assert [subject for kind, subject in found if kind == "ignored_out"] == ["Extra"]
     assert [subject for kind, subject in found if kind == "ignored_in"] == [
         subject for kind, subject in first if kind == "ignored_in"
     ]
-
-    # An exogenous library over the same two objects shares its facts and
-    # findings too: neither side's facts evict the other's.
-    body = RULE_MUTATION_GUARDED.replace("t : CPPivot!IntVal", "t : Other!Extra")
-    exo_next, found_next = findings(body, pivot, extra)
     assert exo_next.target_concepts is exo.target_concepts == ("Extra", "DataType")
     common = found.keys() & found_next.keys()
     assert {kind for kind, _ in common} == {"ignored_in"}
     assert all(found[key] is found_next[key] for key in common)
+
+
+def test_a_library_call_keeps_nothing_after_it_returns(pivot):
+    ts = [parse_transformation(wrap_rules(b)) for b in (RULE_COPY_ALWAYS, RULE_MUTATION_GUARDED)]
+    before = sys.getrefcount(pivot)
+    reports = analyze_library(ts, pivot, pivot)
+    assert len(reports) == 2
+    del reports
+    after = sys.getrefcount(pivot)  # outside the assert, whose rewriting holds its operands
+    assert after == before
+
+
+def test_a_library_parses_lazily_up_to_the_first_mismatch(pivot):
+    # The command line passes a generator of parses, so that the first bad
+    # file in argument order is the one reported.
+    taken = []
+
+    def transformations():
+        for body, target_mm in (RULE_COPY_ALWAYS, "CPPivot"), (RULE_COPY_ALWAYS, "Other"), (RULE_COPY_GUARDED, "CPPivot"):
+            taken.append(target_mm)
+            yield parse_transformation(wrap_rules(body, target_mm=target_mm))
+
+    with pytest.raises(MetamodelMismatchError):
+        analyze_library(transformations(), pivot, pivot)
+    assert taken == ["CPPivot", "Other"]
 
 
 def test_abstract_source_rule_contributes_nothing(pivot):

@@ -327,6 +327,17 @@ def test_analyze_json_calls_report_to_json_once_per_report(reports, monkeypatch)
     assert calls == corpus
 
 
+def test_analyze_json_keeps_nothing_after_it_returns(pivot, transformations):
+    # A fresh metamodel object gives the reports a target universe of their own.
+    twin = pivot._replace()
+    corpus = [analyze(t, twin, twin) for t in transformations]
+    universe = corpus[-1].target_concepts
+    before = sys.getrefcount(universe)
+    render_reports(corpus, "json")
+    after = sys.getrefcount(universe)  # outside the assert, whose rewriting holds its operands
+    assert after == before
+
+
 @pytest.mark.parametrize("fmt", ["markdown", "json"])
 def test_render_reports_decides_each_fixed_point_through_detect_fixed_point(reports, fmt, monkeypatch):
     # The benchmark's tracer times the fixed-point decision by wrapping this

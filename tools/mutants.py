@@ -73,14 +73,10 @@ MUTANTS = [
     # `Class` is both never_processed and ignored_out in classInstantiation.
     (f"{PKG}/analyzer.py", "({}, {}, {})", "({},) * 3",
      "the kept findings are keyed by the concept alone, not by kind and concept"),
-    # Both are killed by test_analyzer.py's test_analyze_derives_each_metamodels_facts_afresh,
-    # the second at its (pivot, other) -> (pivot, pivot) step.
-    (f"{PKG}/analyzer.py", "if seen_source is not source_mm or seen_target is not target_mm:",
-     "if seen_source is None:",
-     "analyze keeps what it derived from the first pair of metamodels it saw"),
-    (f"{PKG}/analyzer.py", "if seen_source is not source_mm or seen_target is not target_mm:",
-     "if seen_source is not source_mm:",
-     "analyze keeps what it derived while the source metamodel stays the same"),
+    # Killed by test_analyzer.py's test_a_library_shares_the_findings_it_has_in_common (its exogenous
+    # library) and by every other exogenous analysis.
+    (f"{PKG}/analyzer.py", "else _facts(target_mm)", "else _facts(source_mm)",
+     "an exogenous library takes the source metamodel's facts for the target's"),
     # Fixed point. The first is killed by test_analyzer.py's test_fixed_point_verdicts_and_candidates (codomain_probe).
     (f"{PKG}/analyzer.py", "if dom != cod:", "if dom - cod:",
      "a refined codomain larger than the domain passes for equal"),
@@ -190,14 +186,6 @@ MUTANTS = [
      "a diagnostic's JSON has a line exactly when it has none"),
     (f"{PKG}/cli.py", "data = data[taken:]", "data = data[len(data):]",
      "the bytes a short write left are dropped"),
-    # Kept JSON texts. Killed by test_properties.py's
-    # test_json_texts_kept_across_reports_are_what_json_dumps_writes and by test_report.py's
-    # test_report_to_json_at_a_depth_indents_every_later_line. Only diagnostic texts are kept,
-    # and none depends on the target universe, so reusing them over another one changes no
-    # output: the universe in the reset only bounds the kept texts to one library.
-    (f"{PKG}/report.py", "if universe is not report.target_concepts or seen_indent != indent:",
-     "if universe is not report.target_concepts:",
-     "the kept JSON texts are reused at another depth"),
     # Command line. Killed by test_an_option_value_may_follow_an_equals_sign and
     # test_double_dash_ends_the_options.
     (f"{PKG}/cli.py", 'flag, eq, value = word.partition("=")', 'flag, eq, value = word, "", ""',
