@@ -15,8 +15,9 @@ _EXPORTS = {
         "RuleClassification", "analyze", "analyze_library", "classify_rule", "detect_fixed_point",
     ),
     "chain": ("ChainCompatibilityError", "ChainPlan", "ChainStep", "check_chain", "plan_chain", "propagate"),
-    "lexer": ("ParseError",),
-    "metamodel": ("Concept", "Feature", "Metamodel", "concrete_concepts", "parse_metamodel", "pretty_print"),
+    "metamodel": (
+        "Concept", "Feature", "Metamodel", "ParseError", "concrete_concepts", "parse_metamodel", "pretty_print",
+    ),
     "report": (
         "ProfileGroup", "Table", "ignored_table", "profile_groups", "referenced_table", "render",
         "report_table", "report_to_json", "table_from_json",

@@ -11,8 +11,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
 
-from .lexer import one_line
-from .metamodel import Metamodel, concrete_concepts, declaration_order
+from .metamodel import Metamodel, concrete_concepts, declaration_order, one_line
 from .transformation import ConceptRef, Rule, Transformation
 
 

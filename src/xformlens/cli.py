@@ -12,14 +12,14 @@ import os
 import sys
 
 from .analyzer import MetamodelMismatchError, analyze_library, lint_lines
-from .lexer import ParseError, one_line
 from .metamodel import (
-    Metamodel, concrete_concepts, declaration_order, metamodel_from_plain, metamodel_to_plain, parse_metamodel,
+    Metamodel, ParseError, concrete_concepts, declaration_order, metamodel_from_plain, metamodel_to_plain, one_line,
+    parse_metamodel,
 )
 from .transformation import parse_transformation, transformation_from_plain, transformation_to_plain
 
-# `report` and `chain` are imported by the commands that run them, so that
-# no command pays for a layer it never calls.
+# `report` and `chain` are imported by the commands that run them, and `parse` and `lexer` by the
+# parse functions on a cache miss, so that no command pays for a layer it never calls.
 
 # Each lint kind as XFORMLENS_COLOR=1 shows it.
 _PAINTED = {
@@ -52,6 +52,7 @@ def _read(path: str) -> str:
 # 0.7 ms to each start (x86-64, 2 vCPUs), more than a small library's warm parse saves.
 _PRIME = 2**64 - 59
 _FORMAT = 2  # raise it when `_parsed` stores an entry another way
+_STAMPED = ("lexer", "metamodel", "parse", "transformation")  # every module a parse loads: its code makes the record
 
 
 def _cache() -> tuple[str, tuple] | None:
@@ -63,8 +64,8 @@ def _cache() -> tuple[str, tuple] | None:
         if not os.path.isabs(base):  # no home directory to put it in
             return None
     here = os.path.dirname(__file__)
-    try:  # the parsers, and beside them the records and their plain form
-        stats = [os.stat(os.path.join(here, f"{m}.py")) for m in ("lexer", "metamodel", "transformation")]
+    try:
+        stats = [os.stat(os.path.join(here, f"{m}.py")) for m in _STAMPED]
     except OSError:  # no source files, as in a zip archive
         return None
     stamp = (sys.implementation.cache_tag, _FORMAT, *[(s.st_mtime_ns, s.st_size) for s in stats])

@@ -13,26 +13,7 @@ from functools import cached_property
 from itertools import accumulate, compress, count, islice
 from operator import add
 
-
-class ParseError(Exception):
-    """Syntax or validation error with a 1-based source position."""
-
-    def __init__(self, message: str, line: int, column: int, path: str | None = None):
-        prefix = f"{path}:" if path else ""
-        super().__init__(f"{prefix}{line}:{column}: {message}")
-        self.message = message
-        self.line = line
-        self.column = column
-        self.path = path
-
-
-# Every character on which str.splitlines() breaks, written as its code
-# point so that a file name cannot split a diagnostic or error line.
-_LINE_BREAKS = {ord(ch): f"U+{ord(ch):04X}" for ch in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
-
-
-def one_line(text: str) -> str:
-    return text if text.isprintable() else text.translate(_LINE_BREAKS)  # no line break is printable
+from .metamodel import ParseError, one_line  # noqa: F401 - one_line too stays importable from here
 
 
 # One token per match, tried in this order: a comment, an identifier, an

@@ -1,8 +1,9 @@
-"""Metamodel dialect (.cmm): parsing, validation, and pretty-printing.
+"""Metamodel dialect (.cmm): records, their plain form, and pretty-printing; `parse` holds the parser.
 
 A metamodel is a named set of concepts (classes) with optional abstractness
 and multiple inheritance. Attributes and references are parsed and carried
 along, but only names, abstractness, and inheritance matter to analysis.
+`ParseError` and `one_line` live here, where every command finds them without loading a parser.
 """
 from __future__ import annotations
 
@@ -10,7 +11,26 @@ from collections import namedtuple
 from collections.abc import Collection, Iterable
 from functools import partial
 
-from .lexer import TokenStream, capture_balanced, describe
+
+class ParseError(Exception):
+    """Syntax or validation error with a 1-based source position."""
+
+    def __init__(self, message: str, line: int, column: int, path: str | None = None):
+        prefix = f"{path}:" if path else ""
+        super().__init__(f"{prefix}{line}:{column}: {message}")
+        self.message = message
+        self.line = line
+        self.column = column
+        self.path = path
+
+
+# Every character on which str.splitlines() breaks, written as its code
+# point so that a file name cannot split a diagnostic or error line.
+_LINE_BREAKS = {ord(ch): f"U+{ord(ch):04X}" for ch in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+def one_line(text: str) -> str:
+    return text if text.isprintable() else text.translate(_LINE_BREAKS)  # no line break is printable
 
 
 # kind: "attr" | "ref"; name, type_name: str; multiplicity: str | None, the text between the brackets
@@ -19,7 +39,7 @@ Feature = namedtuple("Feature", "kind name type_name multiplicity", defaults=(No
 # name: str; abstract: bool; supertypes: tuple[str, ...]; features: tuple[Feature, ...]
 Concept = namedtuple("Concept", "name abstract supertypes features", defaults=(False, (), ()))
 
-_new = tuple.__new__  # the parser gives every field, so it skips the namedtuple's Python-level __new__
+_new = tuple.__new__  # the walk and the parser give every field, so it skips the namedtuple's Python-level __new__
 
 
 class Metamodel(namedtuple("Metamodel", "name concepts", defaults=((),))):
@@ -61,84 +81,8 @@ def parse_metamodel(source_text: str, *, path: str | None = None) -> Metamodel:
     Raises ParseError (with line and column) on syntax errors, duplicate
     concept names, unknown supertypes, and inheritance cycles.
     """
-    ts = TokenStream(source_text, path)
-    texts = ts.texts
-    ts.expect("metamodel")
-    name = texts[ts.expect_ident("metamodel name")]
-    ts.expect("{")
-
-    concepts: list[Concept] = []
-    declared_at: dict[str, int] = {}  # concept name -> the index of its name
-    super_refs: list[tuple[str, str, int]] = []  # (concept, supertype, the index of its name)
-    while not ts.accept("}"):
-        abstract = ts.accept("abstract")
-        ts.expect("class")
-        name_at = ts.expect_ident("class name")
-        cname = texts[name_at]
-        if cname in declared_at:
-            raise ts.error(f"duplicate concept name '{cname}'", name_at)
-        declared_at[cname] = name_at
-
-        supertypes: list[str] = []
-        if ts.accept("extends"):
-            while True:
-                st = ts.expect_ident("supertype name")
-                supertypes.append(texts[st])
-                super_refs.append((cname, texts[st], st))
-                if not ts.accept(","):
-                    break
-
-        ts.expect("{")
-        features: list[Feature] = []
-        while not ts.accept("}"):
-            features.append(_parse_feature(ts))
-        concepts.append(_new(Concept, (cname, abstract, tuple(supertypes), tuple(features))))
-    ts.expect_eof()
-
-    _validate_inheritance(ts, declared_at, super_refs)
-    return Metamodel(name, tuple(concepts))
-
-
-def _parse_feature(ts: TokenStream) -> Feature:
-    kind = ts.texts[ts.pos]
-    if kind not in ("attr", "ref"):
-        raise ts.error(f"expected 'attr', 'ref', or '}}', found {describe(kind)}")
-    ts.pos += 1
-    fname = ts.texts[ts.expect_ident("feature name")]
-    ts.expect(":")
-    ftype = ts.texts[ts.expect_ident("feature type")]
-    multiplicity = None
-    if ts.accept("["):
-        multiplicity = ts.slice(*capture_balanced(ts, ("]",), "multiplicity"))
-        ts.expect("]")
-    ts.expect(";")
-    return _new(Feature, (kind, fname, ftype, multiplicity))
-
-
-def _validate_inheritance(
-    ts: TokenStream, declared_at: dict[str, int], super_refs: list[tuple[str, str, int]]
-) -> None:
-    for owner, supertype, st in super_refs:
-        if supertype not in declared_at:
-            raise ts.error(f"unknown supertype '{supertype}' of concept '{owner}'", st)
-    # An edge to a supertype declared earlier points back in declaration order,
-    # and edges that all do cannot close a cycle.
-    if all(declared_at[supertype] < declared_at[owner] for owner, supertype, _ in super_refs):
-        return
-    # graphlib walks nodes, and each node's successors (here its supertypes),
-    # in insertion order and without recursion, so a deep chain cannot exhaust
-    # the stack. All concepts go in before any edge: the walk starts at the first.
-    from graphlib import CycleError, TopologicalSorter  # here, off the start-up path of every command
-    graph = TopologicalSorter()
-    for name in declared_at:
-        graph.add(name)
-    for owner, supertype, _ in super_refs:
-        graph.add(supertype, owner)
-    try:
-        graph.prepare()
-    except CycleError as exc:
-        cycle = exc.args[1]
-        raise ts.error("inheritance cycle: " + " -> ".join(cycle), declared_at[cycle[0]]) from None
+    from . import parse  # here, so that a command whose inputs all come from its cache loads no parser
+    return parse.metamodel(source_text, path)
 
 
 def concrete_concepts(mm: Metamodel) -> tuple[str, ...]:

@@ -249,7 +249,10 @@ def report_to_json(report: AnalysisReport, indent: str = "", texts: dict | None 
     A dict `texts` keeps the text of each diagnostic, keyed by the whole
     Lint, for later calls at the same `indent`: the reports of a library
     mostly repeat each other's diagnostics. None keeps them for this call."""
-    from json.encoder import encode_basestring_ascii as q  # json.dumps's escaper under ensure_ascii
+    try:  # json.dumps's escaper under ensure_ascii, from the C module it calls: json.encoder
+        from _json import encode_basestring_ascii as q  # would also load the decoder and compile its regexes
+    except ImportError:  # an interpreter without that C module
+        from json.encoder import encode_basestring_ascii as q
 
     i1, i2, i3 = indent + "  ", indent + "    ", indent + "      "
 

@@ -136,6 +136,24 @@ def test_a_rebuilt_random_record_has_every_value_and_exact_type_of_the_parsed_on
     assert min(seen.values()) >= 10, seen
 
 
+def test_the_stamp_covers_every_module_a_parse_loads():
+    """A parsed record depends on no code but the stamp's: in a fresh interpreter, parsing the
+    corpus loads exactly the stamped modules of the package."""
+    probe = (
+        "import sys\nfrom xformlens.metamodel import parse_metamodel\n"
+        "from xformlens.transformation import parse_transformation\nfor path in sys.argv[1:]:\n"
+        "    with open(path, encoding='utf-8') as fh:\n"
+        "        (parse_metamodel if path.endswith('.cmm') else parse_transformation)(fh.read(), path=path)\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('xformlens.')))"
+    )
+    paths = [str(CORPUS / "pivot.cmm"), *(str(CORPUS / f"{n}.tfm") for n in FIXTURE_NAMES)]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *paths], capture_output=True, text=True, env=subprocess_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == sorted(f"xformlens.{m}" for m in cli._STAMPED)
+
+
 def test_an_edit_that_keeps_the_size_and_mtime_is_parsed_again(tmp_path, monkeypatch, capsys):
     args = _probe(tmp_path)
     before = os.stat(args[1])

@@ -621,10 +621,11 @@ def test_chain_plan_accepts_options_among_the_paths(cli, monkeypatch, argv, code
 
 # Start-up cost: each of these modules adds milliseconds to every call. The
 # package reads files with `open`, not pathlib, the renderers import json and
-# html only when they run, the records are `collections.namedtuple`s, and the
-# command line is parsed without argparse, whose messages load gettext and locale.
+# html only when they run, the records are `collections.namedtuple`s, the
+# command line is parsed without argparse, whose messages load gettext and locale,
+# and only the lexer, which a call served from the parse cache never loads, imports re.
 _BANNED = {"dataclasses", "inspect", "click", "pathlib", "fnmatch", "urllib", "json", "html", "typing", "argparse",
-           "gettext", "locale"}
+           "gettext", "locale", "re"}
 
 
 def test_cli_import_loads_no_costly_module():
@@ -641,8 +642,7 @@ def test_cli_import_loads_no_costly_module():
 
 
 _LOADED = "print(*sorted(m for m in sys.modules if m.startswith('xformlens')), file=sys.stderr)"
-_BASE_MODULES = ["xformlens", "xformlens.analyzer", "xformlens.cli", "xformlens.lexer", "xformlens.metamodel",
-                 "xformlens.transformation"]
+_BASE_MODULES = ["xformlens", "xformlens.analyzer", "xformlens.cli", "xformlens.metamodel", "xformlens.transformation"]
 
 
 @pytest.mark.parametrize(
@@ -655,20 +655,23 @@ def test_each_command_loads_only_the_layers_it_runs(corpus_args, command, layers
     # Under -S, in a fresh interpreter: chain commands never load report,
     # analyze never loads chain, and lint loads neither. `report` and `chain`
     # load only inside a command, and the command line is parsed there too,
-    # so only a command run shows that none of them loads a costly module
-    # but the one a renderer needs.
+    # so only a command run shows that none of them loads a costly module.
+    # The first run, against an empty cache, parses every input and so loads
+    # `parse`, `lexer` and the `re` the lexer needs; the second reads every
+    # input from the cache and loads none of the three.
     probe = (
         f"import sys\nfrom xformlens.cli import main\ntry:\n    main(sys.argv[1:])\nfinally:\n    {_LOADED}\n"
-        f"    print(*sorted({_BANNED - {'json', 'html'}} & set(sys.modules)), file=sys.stderr)"
+        f"    print(*sorted({_BANNED - {'html'}} & set(sys.modules)), file=sys.stderr)"
     )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", probe, *command, *corpus_args],
-        capture_output=True, text=True, env=subprocess_env(), timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded, banned = proc.stderr.split("\n")[:2]
-    assert loaded.split() == sorted([*_BASE_MODULES, *(f"xformlens.{layer}" for layer in layers)])
-    assert banned == ""
+    for parse_layer, banned_expected in ((["lexer", "parse"], "re"), ([], "")):
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", probe, *command, *corpus_args],
+            capture_output=True, text=True, env=subprocess_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded, banned = proc.stderr.split("\n")[:2]
+        assert loaded.split() == sorted([*_BASE_MODULES, *(f"xformlens.{layer}" for layer in [*layers, *parse_layer])])
+        assert banned == banned_expected
 
 
 def test_importing_the_package_loads_no_submodule():

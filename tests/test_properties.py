@@ -262,24 +262,19 @@ def test_analyze_json_writes_what_json_dumps_writes(reports):
     assert render_reports(reports, "json") == expected
 
 
-@given(libraries(), analysis_reports(), st.lists(st.sampled_from(["library", "one", "other"]), max_size=6))
+@given(st.data(), libraries(), analysis_reports(), st.sampled_from(["", "  ", "    "]))
 @settings(deadline=None, max_examples=50)
-def test_json_texts_kept_across_reports_are_what_json_dumps_writes(library, other, calls):
-    # The texts kept for one report are met again in the next: the writer
-    # must still give json.dumps's bytes when calls at another depth or over
-    # another target universe come in between.
-    def reference(r):
-        return json.dumps(reference_report_dict(r), indent=2)
-
-    expected = json.dumps([reference_report_dict(r) for r in library], indent=2) + "\n"
-    for i, call in enumerate(["library", *calls, "library"]):
-        if call == "library":
-            assert render_reports(library, "json") == expected
-        elif call == "one":
-            r = library[i % len(library)]
-            assert report_to_json(r, "") == reference(r)
-        else:
-            assert report_to_json(other) == reference(other)
+def test_json_texts_kept_across_reports_are_what_json_dumps_writes(data, library, other, indent):
+    # One `texts` dict passed to every call at one depth, as render_reports passes
+    # its own: a diagnostic's text kept from one report and met again in another,
+    # of the library or over another target universe, must be json.dumps's bytes.
+    seen = [d for r in library for d in r.diagnostics]
+    met_again = data.draw(st.lists(st.sampled_from(seen), max_size=3)) if seen else []
+    other = other._replace(diagnostics=(*met_again, *other.diagnostics))
+    texts: dict = {}
+    for r in data.draw(st.lists(st.sampled_from([*library, other]), min_size=1, max_size=8)):
+        expected = json.dumps(reference_report_dict(r), indent=2).replace("\n", "\n" + indent)
+        assert report_to_json(r, indent, texts) == expected
 
 
 @st.composite

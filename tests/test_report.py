@@ -372,6 +372,12 @@ def test_report_to_json_at_a_depth_indents_every_later_line(reports):
         assert report_to_json(report, "") == report_to_json(report)
 
 
+def test_report_to_json_writes_the_same_without_the_c_escaper(reports, monkeypatch):
+    expected = [report_to_json(r) for r in reports.values()]
+    monkeypatch.setitem(sys.modules, "_json", None)  # so `from _json import ...` raises ImportError
+    assert [report_to_json(r) for r in reports.values()] == expected
+
+
 def test_report_to_json_lists_produced_as_in_each_reports_target_order():
     # Two reports with the same concept and profile over target universes
     # in different orders: a profile entry kept for the first must not be

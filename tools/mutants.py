@@ -170,10 +170,10 @@ MUTANTS = [
     (f"{PKG}/lexer.py", "if expected.pop() != text:", "if expected.pop() == text:",
      "a closer of the right kind is called mismatched, and one of the wrong kind is taken"),
     # Killed by test_transformation.py's test_expression_refs_need_an_identifier_on_both_sides.
-    (f"{PKG}/transformation.py", " and is_ident(texts[i + 1]):", ":",
+    (f"{PKG}/parse.py", " and is_ident(texts[i + 1]):", ":",
      "a captured `A!B` needs no identifier after the `!`"),
     # Killed by test_transformation.py's test_expression_refs_need_an_identifier_on_both_sides (commented-bang).
-    (f"{PKG}/transformation.py", "if starts[i] == first + at and is_ident(", "if is_ident(",
+    (f"{PKG}/parse.py", "if starts[i] == first + at and is_ident(", "if is_ident(",
      "a `!` inside a comment or string between two identifiers is taken for a ref"),
     # Records. Killed by test_api.py's test_every_record_keeps_its_shape_and_has_no_instance_dict.
     (f"{PKG}/metamodel.py", '"kind name type_name multiplicity", defaults=(None,))', '"kind name type_name multiplicity")',
@@ -207,6 +207,10 @@ MUTANTS = [
      "the cache's walk drops a rule's parent"),
     (f"{PKG}/cli.py", "            os.unlink(temporary)\n", "            pass\n",
      "a failed write leaves its temporary file in the cache"),
+    # Killed by test_cache.py's test_the_stamp_covers_every_module_a_parse_loads.
+    (f"{PKG}/cli.py", '_STAMPED = ("lexer", "metamodel", "parse", "transformation")',
+     '_STAMPED = ("lexer", "metamodel", "transformation")',
+     "an edited parser keeps serving the entries its old code wrote"),
     # Process entry. Killed by test_the_process_entry_disables_the_collector_before_the_commands_load
     # and test_the_process_entry_freezes_the_heap_before_exit.
     (f"{PKG}/__main__.py", "gc.disable()\n", "pass\n",
@@ -214,11 +218,11 @@ MUTANTS = [
     (f"{PKG}/__main__.py", "        gc.freeze()\n", "        pass\n",
      "the collections at exit walk the whole heap"),
     # Metamodels. Killed by test_metamodel.py's test_inheritance_cycle_messages (`A -> A`).
-    (f"{PKG}/metamodel.py", "declared_at[supertype] < declared_at[owner]", "declared_at[supertype] <= declared_at[owner]",
+    (f"{PKG}/parse.py", "declared_at[supertype] < declared_at[owner]", "declared_at[supertype] <= declared_at[owner]",
      "a concept that extends itself skips the cycle check"),
     # Package names.
-    (f"{PKG}/__init__.py", '"plan_chain", "propagate"),\n    "lexer": ("ParseError",),',
-     '"plan_chain"),\n    "lexer": ("ParseError", "propagate"),',
+    (f"{PKG}/__init__.py", '"plan_chain", "propagate"),\n    "metamodel": (\n        "Concept",',
+     '"plan_chain"),\n    "metamodel": (\n        "propagate", "Concept",',
      "a public name is looked up in the wrong module"),
 ]
 
