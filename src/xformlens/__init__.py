@@ -4,8 +4,6 @@ The public names load on first use (PEP 562): `import xformlens` imports
 no submodule, and `xformlens.render` imports `xformlens.report` alone.
 """
 
-from importlib import import_module
-
 __version__ = "0.1.0"
 
 # The public names of each module.
@@ -34,6 +32,7 @@ __all__ = sorted(_MODULE_OF)
 def __getattr__(name: str):
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    # The builtin __import__, not importlib, whose import loads warnings as well: about 1 ms a start.
+    value = getattr(__import__(f"{__name__}.{_MODULE_OF[name]}", fromlist=[name]), name)
     globals()[name] = value  # later lookups do not come back here
     return value

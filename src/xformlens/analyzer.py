@@ -4,6 +4,12 @@ Each rule is classified as a copy or a mutation with an application mode
 (always, conditionally, lazily). Aggregating classifications per source
 concept yields concept profiles, the ignored-in/ignored-out sets, the
 refined domain and codomain, a fixed-point verdict, and diagnostics.
+
+The inputs, a Transformation and its Metamodels, are read by position,
+never by field name, so the plain tuple of a record's values, which the
+command line's cache keeps (`metamodel_to_plain`, `transformation_to_plain`),
+is read as the record is. Each unpack names the record's fields in order, a
+prefix and `_` allowed (`rule_name` for `name`), and a test holds it to `_fields`.
 """
 from __future__ import annotations
 
@@ -12,7 +18,6 @@ from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
 
 from .metamodel import Metamodel, concrete_concepts, declaration_order, one_line
-from .transformation import ConceptRef, Rule, Transformation
 
 
 class MetamodelMismatchError(ValueError):
@@ -91,28 +96,30 @@ class AnalysisReport(
         return self.source_mm == self.target_mm and bool(detect_fixed_point(self))
 
 
-def classify_rule(rule: Rule) -> RuleClassification:
-    """Classify one rule lexically, without resolving concepts.
+def classify_rule(rule) -> RuleClassification:
+    """Classify one rule (a Rule, or its plain tuple) lexically, without resolving concepts.
 
     A rule is a copy when its first target pattern names the same concept
     as its source pattern, a mutation otherwise. The lazy keyword takes
     precedence over a guard when determining the mode.
     """
-    targets = tuple(dict.fromkeys(t.concept.name for t in rule.targets))
-    action = "copy" if targets[0] == rule.source_concept.name else "mutation"
-    if rule.lazy:
+    _, _, (_, source_name, _, _), targets, guard, lazy, _ = rule
+    produced = tuple(dict.fromkeys([name for _, (_, name, _, _), _ in targets]))
+    action = "copy" if produced[0] == source_name else "mutation"
+    if lazy:
         mode = Mode.LAZILY
-    elif rule.guard is not None:
+    elif guard is not None:
         mode = Mode.CONDITIONALLY
     else:
         mode = Mode.ALWAYS
-    return RuleClassification(action, mode, targets)
+    return RuleClassification(action, mode, produced)
 
 
 def _facts(mm: Metamodel) -> tuple[tuple[str, ...], frozenset[str], frozenset[str]]:
     """`mm`'s concrete concept names in declaration order, their set, and the names of all its concepts."""
+    _, concepts = mm
     concrete = concrete_concepts(mm)
-    return concrete, frozenset(concrete), mm.concept_names
+    return concrete, frozenset(concrete), frozenset([name for name, _, _, _ in concepts])
 
 
 def _shared(source_mm: Metamodel, target_mm: Metamodel) -> tuple:
@@ -122,18 +129,14 @@ def _shared(source_mm: Metamodel, target_mm: Metamodel) -> tuple:
     return source_facts, source_facts if target_mm is source_mm else _facts(target_mm), ({}, {}, {})
 
 
-def analyze_library(
-    transformations: Iterable[Transformation], source_mm: Metamodel, target_mm: Metamodel
-) -> list[AnalysisReport]:
+def analyze_library(transformations: Iterable, source_mm: Metamodel, target_mm: Metamodel) -> list[AnalysisReport]:
     """`analyze` each transformation, taken lazily, with one `_shared` for all: the
     reports share their `target_concepts` tuple and each finding they have in common."""
     shared = _shared(source_mm, target_mm)
     return [analyze(t, source_mm, target_mm, shared) for t in transformations]
 
 
-def analyze(
-    t: Transformation, source_mm: Metamodel, target_mm: Metamodel, shared: tuple | None = None
-) -> AnalysisReport:
+def analyze(t, source_mm: Metamodel, target_mm: Metamodel, shared: tuple | None = None) -> AnalysisReport:
     """Compute the full analysis report for one transformation.
 
     Unresolvable concept references never abort the analysis: each one
@@ -141,76 +144,76 @@ def analyze(
     target pattern fails to resolve is left out of the profiles.
     `shared` is `_shared(source_mm, target_mm)`, built afresh when None.
     """
-    for verb, named, mm in ("reads from", t.source_metamodel, source_mm), ("writes to", t.target_metamodel, target_mm):
-        if named != mm.name:
-            where = f"{t.source_path}: " if t.source_path else ""  # as a ParseError names its file
+    transformation_name, source_metamodel, target_metamodel, helpers, rules, source_path = t
+    (source_name, _), (target_name, _) = source_mm, target_mm
+    for verb, named, supplied in ("reads from", source_metamodel, source_name), ("writes to", target_metamodel, target_name):
+        if named != supplied:
+            where = f"{source_path}: " if source_path else ""  # as a ParseError names its file
             raise MetamodelMismatchError(
-                f"{where}transformation '{t.name}' {verb} '{named}' but metamodel '{mm.name}' was supplied"
+                f"{where}transformation '{transformation_name}' {verb} '{named}' but metamodel '{supplied}' was supplied"
             )
 
-    (source_concepts, source_concrete, source_names), (target_concepts, target_concrete, target_names), findings = (
-        shared or _shared(source_mm, target_mm)
-    )
+    (
+        (source_concepts, source_concrete, source_names),
+        (target_concepts, target_concrete, target_names),
+        (never, unread, unwritten),
+    ) = shared or _shared(source_mm, target_mm)
 
     unknown: list[Lint] = []
     mentioned_source: set[str] = set()
     mentioned_target: set[str] = set()
-    concept_names = {source_mm.name: source_names, target_mm.name: target_names}
+    concept_names = {source_name: source_names, target_name: target_names}
     # A scope maps each qualifier that may resolve to the set its mentions
     # are recorded in. The source entry comes last so that it wins in an
     # endogenous module; in an exogenous one, expression refs to the
     # target metamodel resolve but count toward neither ignored set.
-    read = {target_mm.name: set(), source_mm.name: mentioned_source}
-    typed = {target_mm.name: set(), source_mm.name: set()}
-    written = {target_mm.name: mentioned_target}
+    read = {target_name: set(), source_name: mentioned_source}
+    typed = {target_name: set(), source_name: set()}
+    written = {target_name: mentioned_target}
 
-    def resolve(ref: ConceptRef, owner: str, scope: dict[str, set[str]]) -> bool:
-        """Record a mention of ref in its scope, or lint it as unknown."""
-        if ref.metamodel in scope and ref.name in concept_names[ref.metamodel]:
-            scope[ref.metamodel].add(ref.name)
+    def resolve(ref, owner: str, scope: dict[str, set[str]]) -> bool:
+        """Record a mention of ref, a ConceptRef, in its scope, or lint it as unknown."""
+        metamodel, name, line, column = ref
+        if metamodel in scope and name in concept_names[metamodel]:
+            scope[metamodel].add(name)
             return True
-        unknown.append(
-            Lint(
-                "unknown_concept",
-                ref.qualified,
-                f"{owner} references unknown concept '{ref.qualified}'",
-                t.source_path,
-                ref.line,
-                ref.column,
-            )
-        )
+        qualified = f"{metamodel}!{name}"
+        message = f"{owner} references unknown concept '{qualified}'"
+        unknown.append(Lint("unknown_concept", qualified, message, source_path, line, column))
         return False
 
-    for h in t.helpers:
-        owner = f"helper '{h.name}'"
+    # An Expression is (raw, refs), so its refs are expression[1].
+    for helper_name, result_type, body, context in helpers:
+        owner = f"helper '{helper_name}'"
         # Context and result type are checked for typos only; a concept
         # mentioned nowhere else stays ignored-in.
-        if h.context is not None:
-            resolve(h.context, owner, typed)
-        for ref in h.result_type.refs:
+        if context is not None:
+            resolve(context, owner, typed)
+        for ref in result_type[1]:
             resolve(ref, owner, typed)
-        for ref in h.body.refs:
+        for ref in body[1]:
             resolve(ref, owner, read)
 
     # An entry exists only for a concept some rule folds into, so it holds a mode.
     folded: dict[str, tuple[set[Mode], set[Mode], set[str]]] = {}
-    for r in t.rules:
-        owner = f"rule '{r.name}'"
-        src = r.source_concept
-        patterns_ok = resolve(src, owner, read)
-        if r.guard is not None:
-            for ref in r.guard.refs:
+    for rule in rules:
+        rule_name, _, source_concept, targets, guard, _, _ = rule
+        owner = f"rule '{rule_name}'"
+        patterns_ok = resolve(source_concept, owner, read)
+        if guard is not None:
+            for ref in guard[1]:
                 resolve(ref, owner, read)
-        for tp in r.targets:
-            patterns_ok &= resolve(tp.concept, owner, written)
-            for b in tp.bindings:
-                for ref in b.value.refs:
+        for _, concept, bindings in targets:
+            patterns_ok &= resolve(concept, owner, written)
+            for _, value in bindings:
+                for ref in value[1]:
                     resolve(ref, owner, read)
 
-        if not patterns_ok or src.name not in source_concrete:
+        _, concept_name, _, _ = source_concept
+        if not patterns_ok or concept_name not in source_concrete:
             continue
-        cls = classify_rule(r)
-        copy_modes, mutation_modes, produced_as = folded.setdefault(src.name, (set(), set(), set()))
+        cls = classify_rule(rule)
+        copy_modes, mutation_modes, produced_as = folded.setdefault(concept_name, (set(), set(), set()))
         if cls.action == "copy":
             copy_modes.add(cls.mode)
             produced_as.update(cls.targets[1:])
@@ -230,7 +233,6 @@ def analyze(
     # One Lint per concept, thousands on a wide metamodel and mostly the same in
     # every transformation of a library, so each is kept; a missing one is built
     # by tuple.__new__, without the namedtuple's Python-level __new__.
-    never, unread, unwritten = findings
     new = tuple.__new__
     diagnostics = sorted(unknown, key=lambda l: (l.line, l.column))
     for kept, kind, names, universe, tail in (
@@ -246,9 +248,9 @@ def analyze(
         ]
 
     return AnalysisReport(
-        transformation=t.name,
-        source_mm=source_mm.name,
-        target_mm=target_mm.name,
+        transformation=transformation_name,
+        source_mm=source_name,
+        target_mm=target_name,
         profiles=profiles,
         target_concepts=target_concepts,
         ignored_in=ignored_in,

@@ -12,14 +12,10 @@ import os
 import sys
 
 from .analyzer import MetamodelMismatchError, analyze_library, lint_lines
-from .metamodel import (
-    Metamodel, ParseError, concrete_concepts, declaration_order, metamodel_from_plain, metamodel_to_plain, one_line,
-    parse_metamodel,
-)
-from .transformation import parse_transformation, transformation_from_plain, transformation_to_plain
+from .metamodel import Metamodel, ParseError, concrete_concepts, declaration_order, one_line
 
-# `report` and `chain` are imported by the commands that run them, and `parse` and `lexer` by the
-# parse functions on a cache miss, so that no command pays for a layer it never calls.
+# `report` and `chain` are imported by the commands that run them, and `transformation`, `parse` and
+# `lexer` on a cache miss, so that no command pays for a layer it never calls.
 
 # Each lint kind as XFORMLENS_COLOR=1 shows it.
 _PAINTED = {
@@ -72,30 +68,35 @@ def _cache() -> tuple[str, tuple] | None:
     return os.path.join(base, "xformlens"), stamp
 
 
-def _parsed(path: str, parse, to_plain, from_plain, cache):
-    """`parse(text, path=path)` of the file at `path`, kept in `cache` (from `_cache`) as the plain
-    tuples `to_plain` writes and rebuilt from them by `from_plain`, the two ends of one walk in the
-    parsing module, while the path string, the text and the parser's code stay the same."""
+def _parsed(path: str, kind: str, cache, reuse: bool = True):
+    """`parse_<kind>(text, path=path)` of the file at `path`, from the record module `kind`. It is kept
+    in `cache` (from `_cache`) as the plain tuples that the module's `<kind>_to_plain` writes, while the
+    path string, the text and the parser's code stay the same. A hit returns those tuples as they are,
+    since the analysis reads a record and its plain tuple alike; a miss, or any call with `reuse` false,
+    parses the file and returns the record."""
     text = _read(path)
+    if cache is not None:
+        directory, stamp = cache
+        key = (stamp, kind, path, text)
+        # Two paths whose names share a hash take turns in one entry, each a miss for the other.
+        entry = os.path.join(directory, "%016x" % (int.from_bytes(os.fsencode(os.path.abspath(path)), "big") % _PRIME))
+        try:
+            with open(entry, "rb") as fh:
+                stored, plain = marshal.loads(fh.read())
+            if stored == key and reuse:
+                return plain
+        except (OSError, EOFError, ValueError, TypeError):  # missing, short, corrupt or foreign
+            pass
+    # Loaded on a miss only, and its parse function looked up now, so that a wrapper put on it is called.
+    records = __import__(f"{__package__}.{kind}", fromlist=[f"parse_{kind}"])
+    record = getattr(records, f"parse_{kind}")(text, path=path)  # a ParseError leaves no entry
     if cache is None:
-        return parse(text, path=path)
-    directory, stamp = cache
-    key = (stamp, from_plain.__name__, path, text)
-    # Two paths whose names share a hash take turns in one entry, each a miss for the other.
-    entry = os.path.join(directory, "%016x" % (int.from_bytes(os.fsencode(os.path.abspath(path)), "big") % _PRIME))
-    try:
-        with open(entry, "rb") as fh:
-            stored, record = marshal.loads(fh.read())
-        if stored == key:
-            return from_plain(record)
-    except (OSError, EOFError, ValueError, TypeError, IndexError):  # missing, short, corrupt or foreign
-        pass
-    record = parse(text, path=path)  # a ParseError leaves no entry
+        return record
     temporary = f"{entry}.{os.getpid()}"
     try:
         os.makedirs(directory, exist_ok=True)
         with open(temporary, "wb") as fh:
-            fh.write(marshal.dumps((key, to_plain(record))))
+            fh.write(marshal.dumps((key, getattr(records, f"{kind}_to_plain")(record))))
         os.replace(temporary, entry)  # a reader sees a whole entry or none
     except OSError:  # an unwritable cache is no cache
         try:  # and keeps no part-written entry, as a full disk leaves
@@ -107,11 +108,18 @@ def _parsed(path: str, parse, to_plain, from_plain, cache):
 
 def _analyze_all(metamodel_path: str, transformation_paths: tuple[str, ...]):
     cache = _cache()
-    mm = _parsed(metamodel_path, parse_metamodel, metamodel_to_plain, metamodel_from_plain, cache)
-    # Lazily, so that each file is parsed just before it is analyzed: the first bad file in argument order is reported.
-    parsed = (_parsed(p, parse_transformation, transformation_to_plain, transformation_from_plain, cache)
-              for p in transformation_paths)
-    return mm, analyze_library(parsed, mm, mm)
+    for reuse in (cache is not None, False):
+        try:
+            mm = _parsed(metamodel_path, "metamodel", cache, reuse)
+            # Lazily, so that each file is parsed just before it is analyzed: the first bad file
+            # in argument order is reported.
+            transformations = (_parsed(p, "transformation", cache, reuse) for p in transformation_paths)
+            return mm, analyze_library(transformations, mm, mm)
+        except (ValueError, TypeError, IndexError) as exc:
+            # An entry under a matching key that does not unpack, which only a writer of another layout
+            # makes: every input is parsed again, and a second failure is the analysis's own.
+            if not reuse or isinstance(exc, MetamodelMismatchError):
+                raise
 
 
 def _concept_set(spec: str, mm: Metamodel, option: str) -> frozenset[str]:
@@ -123,7 +131,7 @@ def _concept_set(spec: str, mm: Metamodel, option: str) -> frozenset[str]:
         _fail(f"{option} names no concept", 1)
     for name in names:
         if name not in concrete:
-            _fail(f"'{name}' is not a concrete concept of metamodel '{mm.name}'", 1)
+            _fail(f"'{name}' is not a concrete concept of metamodel '{mm[0]}'", 1)  # `mm` may be plain: by position
     return frozenset(names)
 
 

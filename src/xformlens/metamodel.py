@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Collection, Iterable
-from functools import partial
 
 
 class ParseError(Exception):
@@ -39,8 +38,6 @@ Feature = namedtuple("Feature", "kind name type_name multiplicity", defaults=(No
 # name: str; abstract: bool; supertypes: tuple[str, ...]; features: tuple[Feature, ...]
 Concept = namedtuple("Concept", "name abstract supertypes features", defaults=(False, (), ()))
 
-_new = tuple.__new__  # the walk and the parser give every field, so it skips the namedtuple's Python-level __new__
-
 
 class Metamodel(namedtuple("Metamodel", "name concepts", defaults=((),))):
     """A metamodel: `name` (str) and `concepts` (tuple[Concept, ...]) in declaration order."""
@@ -52,27 +49,16 @@ class Metamodel(namedtuple("Metamodel", "name concepts", defaults=((),))):
         return frozenset(c.name for c in self.concepts)
 
 
-# The command line keeps a parsed input as nested plain tuples, which marshal writes; this walk alone
-# states their layout. It builds each record by tuple.__new__ as the type given for its kind: `tuple`
-# for every kind writes the plain form, since tuple.__new__(tuple, x) is a plain tuple of x's items,
-# and Metamodel, Concept and Feature rebuild the Metamodel.
-def _walk(mm, metamodel, concept, feature):
-    feature = partial(_new, feature)
-    name, concepts = mm
-    return _new(metamodel, (name, tuple([
-        _new(concept, (cname, abstract, supertypes, tuple(map(feature, features))))
-        for cname, abstract, supertypes, features in concepts
-    ])))
-
-
 def metamodel_to_plain(mm: Metamodel) -> tuple:
-    """`mm` with every record in it written as a plain tuple."""
-    return _walk(mm, tuple, tuple, tuple)
-
-
-def metamodel_from_plain(plain: tuple) -> Metamodel:
-    """The Metamodel whose `metamodel_to_plain` is `plain`."""
-    return _walk(plain, Metamodel, Concept, Feature)
+    """`mm` as the nested plain tuples, which marshal writes, that the command line keeps of a parsed input.
+    Each record becomes the tuple of its values in field order; the analysis reads either form by position."""
+    name, concepts = mm
+    return (name, tuple([
+        (concept_name, abstract, supertypes, tuple([
+            (kind, feature_name, type_name, multiplicity) for kind, feature_name, type_name, multiplicity in features
+        ]))
+        for concept_name, abstract, supertypes, features in concepts
+    ]))
 
 
 def parse_metamodel(source_text: str, *, path: str | None = None) -> Metamodel:
@@ -86,8 +72,10 @@ def parse_metamodel(source_text: str, *, path: str | None = None) -> Metamodel:
 
 
 def concrete_concepts(mm: Metamodel) -> tuple[str, ...]:
-    """Names of non-abstract concepts, in declaration order."""
-    return tuple(c.name for c in mm.concepts if not c.abstract)
+    """Names of non-abstract concepts, in declaration order. `mm` is read by position, so it may be
+    a Metamodel or its `metamodel_to_plain`."""
+    _, concepts = mm
+    return tuple([name for name, abstract, _, _ in concepts if not abstract])
 
 
 def declaration_order(names: Collection[str], universe: Iterable[str]) -> list[str]:

@@ -5,8 +5,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 
 from .lexer import TokenStream, capture_balanced, describe, is_ident
-from .metamodel import Concept, Feature, Metamodel, ParseError, _new
+from .metamodel import Concept, Feature, Metamodel, ParseError
 from .transformation import Binding, ConceptRef, Expression, Helper, Rule, TargetPattern, Transformation
+
+_new = tuple.__new__  # the parsers give every field, so it skips the namedtuple's Python-level __new__
 
 
 def metamodel(source_text: str, path: str | None) -> Metamodel:

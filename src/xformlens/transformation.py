@@ -8,7 +8,6 @@ analysis only needs the qualified concept references inside them.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import partial
 
 
 class ConceptRef(namedtuple("ConceptRef", "metamodel name line column")):
@@ -49,44 +48,32 @@ Transformation = namedtuple(
     defaults=((), (), None),
 )
 
-_new = tuple.__new__  # the walk gives every field, so it skips the namedtuple's Python-level __new__
-
-
-# The command line keeps a parsed input as nested plain tuples, which marshal writes; this walk alone
-# states their layout. It builds each record by tuple.__new__ as the type given for its kind: `tuple`
-# for every kind writes the plain form, since tuple.__new__(tuple, x) is a plain tuple of x's items,
-# and the record types, in the order `transformation_from_plain` gives them, rebuild the Transformation.
-def _walk(t, transformation, helper, rule, target, binding, expression, ref):
-    ref = partial(_new, ref)
+def transformation_to_plain(t: Transformation) -> tuple:
+    """`t` as the nested plain tuples, which marshal writes, that the command line keeps of a parsed input.
+    Each record becomes the tuple of its values in field order; the analysis reads either form by position."""
+    def ref(r):
+        metamodel, name, line, column = r
+        return (metamodel, name, line, column)
 
     def expr(e):
-        return None if e is None else _new(expression, (e[0], tuple(map(ref, e[1]))))
+        if e is None:
+            return None
+        raw, refs = e
+        return (raw, tuple(map(ref, refs)))
 
-    name, source_mm, target_mm, helpers, rules, source_path = t
+    name, source_metamodel, target_metamodel, helpers, rules, source_path = t
     helpers = tuple([
-        _new(helper, (hname, expr(result_type), expr(body), None if context is None else ref(context)))
-        for hname, result_type, body, context in helpers
+        (helper_name, expr(result_type), expr(body), None if context is None else ref(context))
+        for helper_name, result_type, body, context in helpers
     ])
     rules = tuple([
-        _new(rule, (rname, source_var, ref(source_concept), tuple([
-            _new(target, (var, ref(concept), tuple([
-                _new(binding, (feature, expr(value))) for feature, value in bindings
-            ])))
+        (rule_name, source_var, ref(source_concept), tuple([
+            (var, ref(concept), tuple([(feature, expr(value)) for feature, value in bindings]))
             for var, concept, bindings in targets
-        ]), expr(guard), lazy, parent_rule))
-        for rname, source_var, source_concept, targets, guard, lazy, parent_rule in rules
+        ]), expr(guard), lazy, parent_rule)
+        for rule_name, source_var, source_concept, targets, guard, lazy, parent_rule in rules
     ])
-    return _new(transformation, (name, source_mm, target_mm, helpers, rules, source_path))
-
-
-def transformation_to_plain(t: Transformation) -> tuple:
-    """`t` with every record in it written as a plain tuple."""
-    return _walk(t, *[tuple] * 7)
-
-
-def transformation_from_plain(plain: tuple) -> Transformation:
-    """The Transformation whose `transformation_to_plain` is `plain`."""
-    return _walk(plain, Transformation, Helper, Rule, TargetPattern, Binding, Expression, ConceptRef)
+    return (name, source_metamodel, target_metamodel, helpers, rules, source_path)
 
 
 def parse_transformation(source_text: str, *, path: str | None = None) -> Transformation:

@@ -31,10 +31,13 @@ PKG = "src/xformlens"
 # plus any context that makes it unique.
 MUTANTS = [
     # Rule classification.
-    (f"{PKG}/analyzer.py", "if rule.lazy:", "if rule.lazy and rule.guard is None:",
+    (f"{PKG}/analyzer.py", "if lazy:", "if lazy and guard is None:",
      "a guard wins over the lazy keyword"),
-    (f"{PKG}/analyzer.py", 'action = "copy" if targets[0] ==', 'action = "copy" if targets[-1] ==',
+    (f"{PKG}/analyzer.py", 'action = "copy" if produced[0] ==', 'action = "copy" if produced[-1] ==',
      "copy judged by the last target, not the first"),
+    # Killed by test_analyzer.py's test_classify_plain_copy.
+    (f"{PKG}/analyzer.py", "targets, guard, lazy, _ = rule", "targets, lazy, guard, _ = rule",
+     "a rule's guard and lazy flag are read in each other's place"),
     # Profile fold.
     (f"{PKG}/analyzer.py", "produced_as.update(cls.targets[1:])", "produced_as.update(cls.targets)",
      "a copy lists its own concept in produced_as"),
@@ -42,23 +45,28 @@ MUTANTS = [
      "a mutation loses its first target"),
     (f"{PKG}/analyzer.py", "target_concrete.intersection(produced_as)", "frozenset(produced_as)",
      "an abstract target enters produced_as"),
-    (f"{PKG}/analyzer.py", "patterns_ok &= resolve(tp.concept", "resolve(tp.concept",
+    (f"{PKG}/analyzer.py", "patterns_ok &= resolve(concept", "resolve(concept",
      "an unknown target no longer gates its rule"),
-    (f"{PKG}/analyzer.py", "if not patterns_ok or src.name not in source_concrete:", "if not patterns_ok:",
+    (f"{PKG}/analyzer.py", "if not patterns_ok or concept_name not in source_concrete:", "if not patterns_ok:",
      "a rule over an abstract source folds into a profile"),
     # Resolve scopes.
-    (f"{PKG}/analyzer.py", "read = {target_mm.name: set(), source_mm.name: mentioned_source}",
-     "read = {source_mm.name: mentioned_source, target_mm.name: set()}",
+    (f"{PKG}/analyzer.py", "read = {target_name: set(), source_name: mentioned_source}",
+     "read = {source_name: mentioned_source, target_name: set()}",
      "the target entry wins the read scope of an endogenous module"),
-    (f"{PKG}/analyzer.py", "typed = {target_mm.name: set(), source_mm.name: set()}",
-     "typed = {target_mm.name: set(), source_mm.name: mentioned_source}",
+    (f"{PKG}/analyzer.py", "typed = {target_name: set(), source_name: set()}",
+     "typed = {target_name: set(), source_name: mentioned_source}",
      "a helper's context and result type count as mentions"),
-    (f"{PKG}/analyzer.py", "written = {target_mm.name: mentioned_target}",
-     "written = {target_mm.name: mentioned_source}",
+    (f"{PKG}/analyzer.py", "written = {target_name: mentioned_target}",
+     "written = {target_name: mentioned_source}",
      "target patterns count as source mentions"),
-    (f"{PKG}/analyzer.py", "for ref in r.guard.refs:\n                resolve(ref, owner, read)",
-     "for ref in r.guard.refs:\n                resolve(ref, owner, typed)",
+    (f"{PKG}/analyzer.py", "for ref in guard[1]:\n                resolve(ref, owner, read)",
+     "for ref in guard[1]:\n                resolve(ref, owner, typed)",
      "guard mentions stop counting"),
+    # Positional reads. Killed by test_analyzer.py's test_helper_body_counts_toward_mentions_but_type_does_not
+    # and by test_cache.py's test_each_positional_read_names_the_fields_of_its_record.
+    (f"{PKG}/analyzer.py", "for helper_name, result_type, body, context in helpers:",
+     "for helper_name, body, result_type, context in helpers:",
+     "a helper's body is read as its result type, so body refs count as typed"),
     # Ignored sets and diagnostics.
     (f"{PKG}/analyzer.py", "ignored_in = source_concrete - mentioned_source", "ignored_in = source_concrete - mentioned_target",
      "ignored-in read from the target mentions"),
@@ -197,14 +205,14 @@ MUTANTS = [
      "`--max-len -1` is accepted"),
     # The cache of parsed inputs. Killed by test_cache.py's
     # test_an_edit_that_keeps_the_size_and_mtime_is_parsed_again, test_a_path_spelled_another_way_is_parsed_again,
-    # test_a_rebuilt_record_has_every_value_and_exact_type_of_the_parsed_one and
-    # test_a_failed_write_leaves_no_file_behind, in this order.
-    (f"{PKG}/cli.py", "key = (stamp, from_plain.__name__, path, text)", "key = (stamp, from_plain.__name__, path)",
+    # test_a_hit_returns_the_stored_plain_tuples (and test_to_plain_writes_every_field_of_a_random_record_in_plain_types)
+    # and test_a_failed_write_leaves_no_file_behind, in this order.
+    (f"{PKG}/cli.py", "key = (stamp, kind, path, text)", "key = (stamp, kind, path)",
      "the cache key leaves out the text"),
-    (f"{PKG}/cli.py", "key = (stamp, from_plain.__name__, path, text)", "key = (stamp, from_plain.__name__, text)",
+    (f"{PKG}/cli.py", "key = (stamp, kind, path, text)", "key = (stamp, kind, text)",
      "the cache key leaves out the path string"),
-    (f"{PKG}/transformation.py", "expr(guard), lazy, parent_rule))", "expr(guard), lazy, None))",
-     "the cache's walk drops a rule's parent"),
+    (f"{PKG}/transformation.py", "expr(guard), lazy, parent_rule)", "expr(guard), lazy, None)",
+     "the plain form drops a rule's parent"),
     (f"{PKG}/cli.py", "            os.unlink(temporary)\n", "            pass\n",
      "a failed write leaves its temporary file in the cache"),
     # Killed by test_cache.py's test_the_stamp_covers_every_module_a_parse_loads.
