@@ -144,22 +144,21 @@ class _ClosedStdout(io.TextIOBase):  # sys.stdout when fd 1 is closed, where Pyt
         raise OSError("stdout is closed")
 
 
-def _write_all(stream, text: str) -> None:
-    """Write `text` to `stream` and flush it.
-
-    Unbuffered, `stream.buffer` is the raw file, which may take only part
-    of a write; the text layer would drop the rest silently.
-    """
+def _write_all(stream, texts) -> None:
+    """Write each of `texts` to `stream` as it comes, encoded on its own, then flush. Unbuffered,
+    `stream.buffer` is the raw file, which may take only part of a write; the text layer would drop the rest."""
     raw = getattr(stream, "buffer", None)
-    if raw is None:  # a text-only stream, such as io.StringIO or a closed stdout
-        stream.write(text)
-    else:
+    for text in texts:
+        if raw is None:  # a text-only stream, such as io.StringIO or a closed stdout
+            stream.write(text)
+            continue
         data = memoryview(text.encode(stream.encoding, stream.errors))
         while data:
             taken = raw.write(data)
             if taken is None:  # a non-blocking file that is full: trying again would spin
                 raise BlockingIOError("stdout would block")
             data = data[taken:]
+        del text, data  # so that the next text is made with this one's text and bytes gone
     stream.flush()
 
 
@@ -178,8 +177,8 @@ _OPTIONS = {
 
 
 def _command(name: str, *flags: str):
-    """Register a command taking a metamodel path, transformation paths and the options `flags`.
-    It returns its stdout text and exit code, and `main` writes the text in one call."""
+    """Register a command taking a metamodel path, transformation paths and the options `flags`. Having analyzed
+    every input, it returns its stdout as texts, each made when `main` takes it to write, and its exit code."""
     def register(fn):
         COMMANDS[name] = (fn, {flag: _OPTIONS[flag] for flag in flags})
         return fn
@@ -197,13 +196,13 @@ def _help(usage: str, doc: str, heading: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_and_run(argv: list[str]) -> tuple[str, int]:
-    """Run the command that `argv` names, or return the help it asks for, as (stdout text, exit code).
+def _parse_and_run(argv: list[str]) -> tuple:
+    """Run the command that `argv` names, or return the help it asks for, as (stdout texts, exit code).
     Options are spelled in full, as `--opt value` or `--opt=value`, anywhere among the paths until `--`."""
     name = argv[0] if argv else ""
     if name not in COMMANDS:
         if name in ("-h", "--help"):
-            return _help("COMMAND", main.__doc__, "commands", [(n, fn.__doc__) for n, (fn, _) in COMMANDS.items()]), 0
+            return [_help("COMMAND", main.__doc__, "commands", [(n, fn.__doc__) for n, (fn, _) in COMMANDS.items()])], 0
         what = f"unknown {'option' if _is_option(name) else 'command'} '{name}'" if argv else "no command"
         _fail(f"{what} (choose from {', '.join(COMMANDS)})", 1)
     fn, table = COMMANDS[name]
@@ -219,7 +218,7 @@ def _parse_and_run(argv: list[str]) -> tuple[str, int]:
             for option, (_, kind, _, text) in table.items():
                 meta = "{%s}" % ",".join(kind) if isinstance(kind, tuple) else option[2:].upper()
                 rows.append((option if kind == "switch" else f"{option} {meta}", text))
-            return _help(name, fn.__doc__, "options", rows), 0
+            return [_help(name, fn.__doc__, "options", rows)], 0
         elif flag not in table:
             if _is_option(word):
                 _fail(f"unknown option '{word}' (put '--' before a path that starts with '-')", 1)
@@ -259,9 +258,8 @@ def main(argv: list[str] | None = None) -> None:
     if sys.stdout is None:  # fd 1 is closed: writing fails like any other write
         sys.stdout = _ClosedStdout()
     try:
-        text, code = _parse_and_run(argv)
-        if text:
-            _write_all(sys.stdout, text)
+        texts, code = _parse_and_run(argv)
+        _write_all(sys.stdout, texts)
     except (OSError, ParseError, MetamodelMismatchError) as exc:  # every input and I/O failure ends here
         try:  # a failed write stays in stdout's buffer, so flushing it fails again
             sys.stdout.flush()
@@ -280,15 +278,15 @@ def main(argv: list[str] | None = None) -> None:
 @_command("analyze", "--format", "--out", "--strict")
 def analyze(metamodel_path, transformation_paths, fmt, out_path, strict):
     """Analyze transformations and render ignored/referenced tables."""
-    from .report import render_reports
+    from .report import report_texts
 
     mm, reports = _analyze_all(metamodel_path, transformation_paths)
-    text = render_reports(reports, fmt)
+    texts = report_texts(reports, fmt)
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8", errors="surrogateescape") as fh:
-            fh.write(text)
-        text = ""
-    return text, 2 if strict and any(d.kind == "unknown_concept" for r in reports for d in r.diagnostics) else 0
+            _write_all(fh, texts)
+        texts = ()
+    return texts, 2 if strict and any(d.kind == "unknown_concept" for r in reports for d in r.diagnostics) else 0
 
 
 @_command("lint", "--strict")
@@ -296,9 +294,9 @@ def lint(metamodel_path, transformation_paths, strict):
     """List diagnostics, one line each; print 'no findings' when clean."""
     mm, reports = _analyze_all(metamodel_path, transformation_paths)
     kinds = _PAINTED if os.environ.get("XFORMLENS_COLOR") == "1" else {}
-    lines = [line for r in reports for line in lint_lines(r.diagnostics, r.transformation, kinds)]
+    texts = ("\n".join([*lint_lines(r.diagnostics, r.transformation, kinds), ""]) for r in reports if r.diagnostics)
     unknown = strict and any(d.kind == "unknown_concept" for r in reports for d in r.diagnostics)
-    return "\n".join(lines or ["no findings"]) + "\n", 2 if unknown else 0
+    return texts if any(r.diagnostics for r in reports) else ["no findings\n"], 2 if unknown else 0
 
 
 @_command("chain-check", "--initial")
@@ -319,7 +317,7 @@ def chain_check(metamodel_path, transformation_paths, initial_spec):
         lines.extend(f"  warning: {w}" for w in step.warnings)
     lines.append(f"final: {_set_text(plan.final_set, mm)}")
     lines.append(f"chain: {'VALID' if plan.goal_met else 'INVALID'}")
-    return "\n".join(lines) + "\n", 0
+    return ["\n".join(lines) + "\n"], 0
 
 
 @_command("chain-plan", "--initial", "--require", "--forbid", "--max-len")
@@ -342,10 +340,10 @@ def chain_plan(metamodel_path, transformation_paths, initial_spec, require, forb
         _fail(f"--require and --forbid overlap: {_set_text(overlap, mm)}", 1)
     plan = plan_chain(reports, initial, required, forbidden, max_len)
     if plan is None:
-        return "no plan\n", 3
+        return ["no plan\n"], 3
     lines = [f"plan: {len(plan.steps)} step(s)"]
     for i, step in enumerate(plan.steps, start=1):
         lines.append(f"step {i}: {step.transformation}")
         lines.extend(f"  warning: {w}" for w in step.warnings)
     lines.append(f"final: {_set_text(plan.final_set, mm)}")
-    return "\n".join(lines) + "\n", 0
+    return ["\n".join(lines) + "\n"], 0

@@ -2,14 +2,15 @@
 
 Every table goes through the Table model first, so its Markdown, HTML,
 LaTeX and JSON renders stay consistent with each other. `analyze --format
-json` is the exception: report_to_json writes each report's JSON directly.
-Concept lists are always ordered by metamodel declaration order.
+json` is the exception: report_to_json writes each report's JSON directly. report_texts makes
+the `analyze` output one report at a time, to be written as it comes. Concept lists are always
+ordered by metamodel declaration order.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
-from itertools import islice
+from itertools import chain, islice
 
 from .analyzer import AnalysisReport, Mode, lint_lines
 from .metamodel import declaration_order
@@ -123,9 +124,10 @@ def report_table(report: AnalysisReport) -> Table:
 
 def _render_markdown(table: Table) -> str:
     rows = (table.header, ("---",) * len(table.header), *table.rows)
-    if "|" in "".join(map("".join, rows)):  # escape only when some cell holds a pipe
-        rows = [[c.replace("|", "\\|") for c in r] for r in rows]
-    return f"### {table.title}\n\n| " + " |\n| ".join(map(" | ".join, rows)) + " |\n"
+    text = " |\n| ".join(map(" | ".join, rows))
+    if text.count("|") > len(rows) * (len(table.header) + 1) - 2:  # more pipes than separators: escape the cells'
+        text = " |\n| ".join(" | ".join(c.replace("|", "\\|") for c in r) for r in rows)
+    return f"### {table.title}\n\n| {text} |\n"
 
 
 def _render_html(table: Table) -> str:
@@ -196,20 +198,23 @@ def render(table: Table, fmt: str) -> str:
     return renderer(table)
 
 
+def report_texts(reports: Sequence[AnalysisReport], fmt: str) -> Iterator[str]:
+    """The `analyze` output as texts to write in turn, each report's made when it is reached: a JSON
+    array, or the ignored and referenced tables then one table per report, apart by blank lines."""
+    if fmt == "json":
+        texts = {}  # the diagnostics' texts, which the reports mostly share
+        for i, r in enumerate(reports):
+            yield from (",\n  " if i else "[\n  ", report_to_json(r, "  ", texts))
+        yield "\n]\n" if reports else "[]\n"
+        return
+    yield render(ignored_table(reports), fmt)
+    for table in chain([referenced_table(reports)], map(report_table, reports)):  # each made when reached
+        yield from ("\n", render(table, fmt))
+
+
 def render_reports(reports: Sequence[AnalysisReport], fmt: str) -> str:
-    """The `analyze` output: a JSON array, or the ignored and referenced tables then one table per report."""
-    if fmt == "json":  # one join of the brackets, the report texts and their separators: one copy of the output
-        parts, texts = [], {}
-        for r in reports:
-            parts += (",\n  ", report_to_json(r, "  ", texts))
-        if not parts:
-            return "[]\n"
-        parts[0] = "[\n  "
-        parts.append("\n]\n")
-        return "".join(parts)
-    parts = [render(ignored_table(reports), fmt), render(referenced_table(reports), fmt)]
-    parts.extend(render(report_table(r), fmt) for r in reports)
-    return "\n".join(parts)
+    """The `analyze` output as one string: report_texts joined."""
+    return "".join(report_texts(reports, fmt))
 
 
 def table_from_json(text: str) -> Table:
@@ -233,22 +238,22 @@ def table_from_json(text: str) -> Table:
     return Table(title, tuple(header), tuple(tuple(r) for r in rows))
 
 
-def _json_block(brackets: str, items: list[str], indent: str) -> str:
-    """An array or object of encoded items, laid out as json.dumps(..., indent=2) does at `indent`."""
+def _json_array(items: list[str], indent: str) -> list[str]:
+    """An array of encoded items as parts to join, laid out as json.dumps(..., indent=2) does at `indent`."""
     if not items:
-        return brackets
-    inner = f"\n{indent}  "  # one f-string copies the joined items once
-    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{indent}{brackets[1]}"
+        return ["[]"]
+    parts = [f",\n{indent}  "] * (2 * len(items)) + [f"\n{indent}]"]  # each item after its separator
+    parts[0], parts[1:-1:2] = f"[\n{indent}  ", items  # the first after "["
+    return parts
 
 
 def report_to_json(report: AnalysisReport, indent: str = "", texts: dict | None = None) -> str:
-    """The report's JSON text in the documented shape, byte for byte as
-    json.dumps(..., indent=2) lays it out with every line after the first
-    prefixed by `indent`, its depth in an enclosing array; json.loads gives the dict.
+    """The report's JSON text in the documented shape, byte for byte as json.dumps(..., indent=2) lays
+    it out with every line after the first prefixed by `indent`, its depth in an enclosing array;
+    json.loads gives the dict. The text is one join of a flat list of parts, each profile and diagnostic one.
 
-    A dict `texts` keeps the text of each diagnostic, keyed by the whole
-    Lint, for later calls at the same `indent`: the reports of a library
-    mostly repeat each other's diagnostics. None keeps them for this call."""
+    A dict `texts` keeps the text of each diagnostic, keyed by the whole Lint, for later calls at the
+    same `indent`: the reports of a library mostly repeat each other's diagnostics. None keeps them for this call."""
     try:  # json.dumps's escaper under ensure_ascii, from the C module it calls: json.encoder
         from _json import encode_basestring_ascii as q  # would also load the decoder and compile its regexes
     except ImportError:  # an interpreter without that C module
@@ -256,8 +261,8 @@ def report_to_json(report: AnalysisReport, indent: str = "", texts: dict | None 
 
     i1, i2, i3 = indent + "  ", indent + "    ", indent + "      "
 
-    def strings(names: list[str], at: str) -> str:
-        return _json_block("[]", [q(n) for n in names], at)
+    def strings(names: list[str], at: str) -> str:  # short items: one part for the array, not one each
+        return f"[\n{at}  " + f",\n{at}  ".join([q(n) for n in names]) + f"\n{at}]" if names else "[]"
 
     def modes(values: frozenset[Mode]) -> str:
         return strings([m.value for m in Mode if m in values], i3)
@@ -281,16 +286,11 @@ def report_to_json(report: AnalysisReport, indent: str = "", texts: dict | None 
         for d in report.diagnostics
         for kind, subject, message, file, line, column in (d,)
     ]
-    return _json_block(
-        "{}",
-        [
-            f'"transformation": {q(report.transformation)}',
-            f'"source_mm": {q(report.source_mm)}',
-            f'"target_mm": {q(report.target_mm)}',
-            *(f'"{field}": {strings(names, i1)}' for field, names in _concept_lists(report)),
-            f'"fixed_point_candidate": {"true" if report.fixed_point_candidate else "false"}',
-            f'"profiles": {_json_block("[]", profiles, i1)}',
-            f'"diagnostics": {_json_block("[]", diagnostics, i1)}',
-        ],
-        indent,
-    )
+    parts = [f'{{\n{i1}"transformation": {q(report.transformation)},\n{i1}"source_mm": {q(report.source_mm)},'
+             f'\n{i1}"target_mm": {q(report.target_mm)}']
+    for field, names in _concept_lists(report):
+        parts += (f',\n{i1}"{field}": ', strings(names, i1))
+    fixed = "true" if report.fixed_point_candidate else "false"
+    parts += (f',\n{i1}"fixed_point_candidate": {fixed},\n{i1}"profiles": ', *_json_array(profiles, i1),
+              f',\n{i1}"diagnostics": ', *_json_array(diagnostics, i1), f"\n{indent}}}")
+    return "".join(parts)

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, and error handling."""
 from __future__ import annotations
 
+import errno
 import gc
 import io
 import json
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
 
@@ -17,6 +19,7 @@ import xformlens
 from xformlens import (
     ParseError,
     analyze,
+    analyze_library,
     ignored_table,
     referenced_table,
     render,
@@ -828,13 +831,119 @@ class _ShortWriter(io.RawIOBase):
         return min(len(data), self.limit)
 
 
-def test_a_short_write_is_followed_by_the_rest(cli, wide_args, monkeypatch):
-    expected = cli(["lint", *wide_args]).out
+@pytest.fixture(scope="module")
+def wide_library(tmp_path_factory):
+    """An 800-concept metamodel and six modules that each copy a slice of 30 concepts, as the
+    benchmark's wide-metamodel library has it: each report lists and lints nearly every concept."""
+    tmp = tmp_path_factory.mktemp("wide-library")
+    mm = tmp / "wide.cmm"
+    mm.write_text("metamodel W {\n" + "".join(f"\tclass C{i} {{}}\n" for i in range(800)) + "}\n", encoding="utf-8")
+    paths = [str(mm)]
+    for k in range(6):
+        rules = "".join(f"rule C{i} {{ from s : W!C{i} to t : W!C{i}() }}\n" for i in range(30 * k, 30 * k + 30))
+        tfm = tmp / f"slice{k}.tfm"
+        tfm.write_text(f"module slice{k};\ncreate OUT : W from IN : W;\n{rules}", encoding="utf-8")
+        paths.append(str(tfm))
+    return paths
+
+
+REPORT_OUTPUTS = pytest.mark.parametrize(
+    "command", [["analyze", "--format", "json"], ["analyze"], ["lint"]], ids=["analyze-json", "analyze", "lint"]
+)
+
+
+@REPORT_OUTPUTS
+def test_the_output_is_written_report_by_report(cli, wide_library, command, monkeypatch):
+    # Memory holds one report's text at a time, so the run's peak stays under the analysis's
+    # own peak plus the output's length: a whole-output string and its bytes would pass it.
+    monkeypatch.setenv("XDG_CACHE_HOME", os.devnull)  # each run parses every input, as `analysis` does
+    size = len(cli([*command, *wide_library]).out.encode())  # which also loads every module the run uses
+    mm_path, *paths = wide_library
+
+    def analysis():
+        mm = parse_metamodel(Path(mm_path).read_text(encoding="utf-8"), path=mm_path)
+        transformations = (parse_transformation(Path(p).read_text(encoding="utf-8"), path=p) for p in paths)
+        return analyze_library(transformations, mm, mm)
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        analysis()
+        analysis_peak = tracemalloc.get_traced_memory()[1]
+        gc.collect()
+        with open(os.devnull, "w", encoding="utf-8") as null:
+            monkeypatch.setattr(sys, "stdout", null)
+            tracemalloc.reset_peak()
+            result = cli([*command, *wide_library])
+            peak = tracemalloc.get_traced_memory()[1]
+            monkeypatch.undo()
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0
+    assert peak < analysis_peak + size, (peak, analysis_peak, size)
+
+
+@REPORT_OUTPUTS
+def test_a_library_whose_last_input_fails_prints_nothing(cli, wide_library, tmp_path, command):
+    # Every input is analyzed before the first write: no error follows printed output.
+    bad = tmp_path / "bad.tfm"
+    bad.write_text("module bad;\ncreate OUT : W from IN : W;\nrule {\n", encoding="utf-8")
+    result = cli([*command, *wide_library, str(bad)])
+    assert (result.exit_code, result.out) == (1, "")
+    assert len(result.err.splitlines()) == 1 and result.err.startswith(f"error: {bad}:")
+    if command[0] == "analyze":  # nor is a file opened for it
+        out = tmp_path / "out.txt"
+        assert cli([*command, "--out", str(out), *wide_library, str(bad)]).exit_code == 1
+        assert not out.exists()
+
+
+class _FailingWriter(io.RawIOBase):
+    """A raw file that takes its first write whole and fails every later one, as a disk that fills up."""
+
+    def __init__(self):
+        self.taken = bytearray()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        if self.taken:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.taken += data
+        return len(data)
+
+
+@REPORT_OUTPUTS
+def test_a_stdout_that_fails_after_its_first_text_is_one_error_line(cli, wide_library, command, monkeypatch):
+    expected = cli([*command, *wide_library]).out.encode()
+    raw = _FailingWriter()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+    result = cli([*command, *wide_library])
+    monkeypatch.undo()
+    assert (result.exit_code, result.err) == (1, f"error: [Errno 28] {os.strerror(errno.ENOSPC)}\n")
+    assert 0 < len(raw.taken) < len(expected) and expected.startswith(raw.taken)
+
+
+@pytest.mark.parametrize("command", [["lint"], ["analyze", "--format", "json"]], ids=["lint", "analyze-json"])
+def test_a_short_write_is_followed_by_the_rest(cli, wide_library, command, monkeypatch):
+    expected = cli([*command, *wide_library]).out
     raw = _ShortWriter(1000)
     monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
-    main(["lint", *wide_args])
+    main([*command, *wide_library])
     monkeypatch.undo()
     assert raw.taken.decode() == expected
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "html", "latex", "json"])
+def test_out_writes_the_bytes_that_stdout_gets(cli, corpus_args, tmp_path, fmt, monkeypatch):
+    raw = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+    main(["analyze", "--format", fmt, *corpus_args])
+    stdout = raw.getvalue()
+    monkeypatch.undo()
+    out = tmp_path / "out"
+    assert cli(["analyze", "--format", fmt, "--out", str(out), *corpus_args]) == (0, "", "")
+    assert out.read_bytes() == stdout and stdout.count(b"\n") > 20
 
 
 def test_a_full_non_blocking_stdout_is_one_error_line(cli, corpus_args, monkeypatch):

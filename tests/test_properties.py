@@ -265,7 +265,7 @@ def test_analyze_json_writes_what_json_dumps_writes(reports):
 @given(st.data(), libraries(), analysis_reports(), st.sampled_from(["", "  ", "    "]))
 @settings(deadline=None, max_examples=50)
 def test_json_texts_kept_across_reports_are_what_json_dumps_writes(data, library, other, indent):
-    # One `texts` dict passed to every call at one depth, as render_reports passes
+    # One `texts` dict passed to every call at one depth, as report_texts passes
     # its own: a diagnostic's text kept from one report and met again in another,
     # of the library or over another target universe, must be json.dumps's bytes.
     seen = [d for r in library for d in r.diagnostics]

@@ -28,7 +28,7 @@ from xformlens import (
 import xformlens.analyzer as analyzer_module
 import xformlens.report as report_module
 from xformlens.cli import COMMANDS
-from xformlens.report import FORMATS, mode_set_label, render_reports
+from xformlens.report import FORMATS, mode_set_label, render_reports, report_texts
 
 from helpers import wrap_rules
 
@@ -313,7 +313,7 @@ def test_report_to_json_schema_order(reports):
 
 def test_analyze_json_calls_report_to_json_once_per_report(reports, monkeypatch):
     # The benchmark's tracer times the JSON encoding by wrapping this module
-    # global; a writer inlined into render_reports would hide it.
+    # global; a writer inlined into report_texts would hide it.
     corpus = list(reports.values())
     expected = render_reports(corpus, "json")
     calls = []
@@ -325,6 +325,24 @@ def test_analyze_json_calls_report_to_json_once_per_report(reports, monkeypatch)
     monkeypatch.setattr(report_module, "report_to_json", counting)
     assert render_reports(corpus, "json") == expected
     assert calls == corpus
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_report_texts_makes_each_report_text_when_it_is_reached(reports, fmt, monkeypatch):
+    # The command line writes each text before the next is made, so that one
+    # report's text is held at a time: nothing is rendered ahead of its turn.
+    corpus = list(reports.values())
+    made = []
+    for name in ("report_to_json", "report_table"):
+        def counting(r, *rest, original=getattr(report_module, name)):
+            made.append(r)
+            return original(r, *rest)
+
+        monkeypatch.setattr(report_module, name, counting)
+    texts = report_texts(corpus, fmt)
+    first = [next(texts) for _ in range(2 if fmt == "json" else 5)]  # up to the first report's own text
+    assert made == corpus[:1]
+    assert "".join([*first, *texts]) == render_reports(corpus, fmt)
 
 
 def test_analyze_json_keeps_nothing_after_it_returns(pivot, transformations):

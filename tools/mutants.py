@@ -144,9 +144,10 @@ MUTANTS = [
     # Killed by test_report.py's test_profile_groups_come_in_the_referenced_tables_column_order.
     (f"{PKG}/report.py", "    groups.sort(key=_group_key)\n", "",
      "profile groups come in declaration order, not the table's column order"),
-    # Killed by test_report.py's test_markdown_render_escapes_pipes (a pipe in a late body row).
-    (f"{PKG}/report.py", 'if "|" in "".join(map("".join, rows)):', 'if "|" in "".join(table.header):',
-     "only the header is scanned for a pipe to escape"),
+    # Killed by test_report.py's test_markdown_render_escapes_pipes (one pipe, in a late body row).
+    (f"{PKG}/report.py", 'if text.count("|") > len(rows) * (len(table.header) + 1) - 2:',
+     'if text.count("|") > len(rows) * (len(table.header) + 1) - 1:',
+     "one pipe in a cell is taken for a separator and left unescaped"),
     # Killed by test_properties.py's test_declaration_order_lists_a_subset_in_universe_order.
     (f"{PKG}/metamodel.py", "return list(filter(names.__contains__, universe))",
      "return sorted(filter(names.__contains__, universe))",
@@ -194,6 +195,12 @@ MUTANTS = [
      "a diagnostic's JSON has a line exactly when it has none"),
     (f"{PKG}/cli.py", "data = data[taken:]", "data = data[len(data):]",
      "the bytes a short write left are dropped"),
+    # Streamed output. Killed by test_cli.py's test_analyze_markdown_matches_library_composition and
+    # test_the_output_is_written_report_by_report, in this order.
+    (f"{PKG}/cli.py", "    for text in texts:\n", "    for text in list(texts)[:-1]:\n",
+     "the last text of a command's output is never written"),
+    (f"{PKG}/cli.py", "    for text in texts:\n", '    for text in ["".join(texts)]:\n',
+     "the whole output is joined before it is written"),
     # Command line. Killed by test_an_option_value_may_follow_an_equals_sign and
     # test_double_dash_ends_the_options.
     (f"{PKG}/cli.py", 'flag, eq, value = word.partition("=")', 'flag, eq, value = word, "", ""',
