@@ -1,9 +1,8 @@
-"""Chain validation and planning over analyzed transformations.
+"""Chain validation and planning over analyzed transformations, and the text both chain commands print.
 
-A chain step is valid when its whole input concept set lies inside the
-step's refined domain. Concept sets move through a chain via propagate,
-which applies the per-concept profiles: copied concepts survive,
-mutation products are added, and unmatched concepts disappear.
+A chain step is blocked by its input concepts outside its refined domain, and valid when none is.
+Concept sets move through a chain via propagate, which applies the per-concept profiles: copied
+concepts survive, mutation products are added, and unmatched concepts disappear.
 """
 from __future__ import annotations
 
@@ -18,13 +17,13 @@ class ChainCompatibilityError(ValueError):
     """Adjacent chain steps disagree on the intermediate metamodel."""
 
 
-# transformation: str; input_set, output_set: frozenset[str]; valid: bool; warnings: tuple[str, ...]
-ChainStep = namedtuple("ChainStep", "transformation input_set output_set valid warnings", defaults=((),))
+# transformation: str; input_set, output_set, blocked (input_set - refined domain): frozenset[str]; warnings: tuple[str, ...]
+ChainStep = namedtuple("ChainStep", "transformation input_set output_set blocked warnings", defaults=((),))
 
 
 class ChainPlan(namedtuple("ChainPlan", "initial_set steps goal_met")):
     """`initial_set` (frozenset[str]) folded through `steps`
-    (tuple[ChainStep, ...]); `goal_met` (bool) when every step is valid."""
+    (tuple[ChainStep, ...]); `goal_met` (bool) when no step is blocked."""
 
     __slots__ = ()
 
@@ -51,7 +50,7 @@ def check_chain(
 ) -> ChainPlan:
     """Fold a concept set through an ordered chain of reports.
 
-    goal_met is True when every step is valid. A warning is attached to
+    goal_met is True when no step is blocked. A warning is attached to
     any step that introduces a concept some later step drops again.
     """
     sets = [frozenset(initial)]  # sets[i] enters step i, and sets[i + 1] leaves it
@@ -75,9 +74,9 @@ def check_chain(
                     f"by step {j + 1} ('{chain[j].transformation}')"
                 )
         steps.append(
-            ChainStep(report.transformation, sets[i], sets[i + 1], sets[i] <= report.refined_domain, tuple(warnings))
+            ChainStep(report.transformation, sets[i], sets[i + 1], sets[i] - report.refined_domain, tuple(warnings))
         )
-    return ChainPlan(sets[0], tuple(steps), all(s.valid for s in steps))
+    return ChainPlan(sets[0], tuple(steps), not any(s.blocked for s in steps))
 
 
 def plan_chain(
@@ -162,3 +161,23 @@ def plan_chain(
                 return check_chain(initial_set, list(extended))
             queue.append((state, extended))
     return None
+
+
+def chain_text(plan: ChainPlan | None, order: Sequence[str], verdicts: bool) -> str:
+    """What `chain-plan` prints for `plan`, or with `verdicts` what `chain-check` prints, which adds the initial
+    set, each step's verdict and the chain's. Each concept set is in `order`, a metamodel's concrete concepts."""
+    if plan is None:
+        return "no plan\n"
+
+    def names(s: frozenset[str]) -> str:
+        return ", ".join(declaration_order(s, order))
+
+    lines = [f"initial: {names(plan.initial_set)}" if verdicts else f"plan: {len(plan.steps)} step(s)"]
+    for i, step in enumerate(plan.steps, start=1):
+        verdict = f": INVALID (outside refined domain: {names(step.blocked)})" if step.blocked else ": VALID"
+        lines.append(f"step {i}: {step.transformation}{verdict if verdicts else ''}")
+        lines.extend(f"  warning: {w}" for w in step.warnings)
+    lines.append(f"final: {names(plan.final_set)}")
+    if verdicts:
+        lines.append(f"chain: {'VALID' if plan.goal_met else 'INVALID'}")
+    return "\n".join(lines) + "\n"

@@ -14,8 +14,8 @@ import sys
 from .analyzer import MetamodelMismatchError, analyze_library, lint_lines
 from .metamodel import Metamodel, ParseError, concrete_concepts, declaration_order, one_line
 
-# `report` and `chain` are imported by the commands that run them, and `transformation`, `parse` and
-# `lexer` on a cache miss, so that no command pays for a layer it never calls.
+# `report` and `chain`, which write the commands' text, are imported by the commands that run them, and
+# `transformation`, `parse` and `lexer` on a cache miss, so that no command pays for a layer it never calls.
 
 # Each lint kind as XFORMLENS_COLOR=1 shows it.
 _PAINTED = {
@@ -133,10 +133,6 @@ def _concept_set(spec: str, mm: Metamodel, option: str) -> frozenset[str]:
         if name not in concrete:
             _fail(f"'{name}' is not a concrete concept of metamodel '{mm[0]}'", 1)  # `mm` may be plain: by position
     return frozenset(names)
-
-
-def _set_text(s: frozenset[str], mm: Metamodel) -> str:
-    return ", ".join(declaration_order(s, concrete_concepts(mm)))
 
 
 class _ClosedStdout(io.TextIOBase):  # sys.stdout when fd 1 is closed, where Python leaves None
@@ -302,28 +298,17 @@ def lint(metamodel_path, transformation_paths, strict):
 @_command("chain-check", "--initial")
 def chain_check(metamodel_path, transformation_paths, initial_spec):
     """Validate an ordered chain of transformations step by step."""
-    from .chain import check_chain
+    from .chain import chain_text, check_chain
 
     mm, reports = _analyze_all(metamodel_path, transformation_paths)
-    initial = _concept_set(initial_spec, mm, "--initial")
-    plan = check_chain(initial, reports)
-    lines = [f"initial: {_set_text(plan.initial_set, mm)}"]
-    for i, step in enumerate(plan.steps, start=1):
-        if step.valid:
-            lines.append(f"step {i}: {step.transformation}: VALID")
-        else:
-            blocked = _set_text(step.input_set - reports[i - 1].refined_domain, mm)
-            lines.append(f"step {i}: {step.transformation}: INVALID (outside refined domain: {blocked})")
-        lines.extend(f"  warning: {w}" for w in step.warnings)
-    lines.append(f"final: {_set_text(plan.final_set, mm)}")
-    lines.append(f"chain: {'VALID' if plan.goal_met else 'INVALID'}")
-    return ["\n".join(lines) + "\n"], 0
+    plan = check_chain(_concept_set(initial_spec, mm, "--initial"), reports)
+    return [chain_text(plan, concrete_concepts(mm), verdicts=True)], 0
 
 
 @_command("chain-plan", "--initial", "--require", "--forbid", "--max-len")
 def chain_plan(metamodel_path, transformation_paths, initial_spec, require, forbid, max_len):
     """Find a shortest transformation chain meeting the goal, or exit 3."""
-    from .chain import plan_chain
+    from .chain import chain_text, plan_chain
 
     mm, reports = _analyze_all(metamodel_path, transformation_paths)
     # Plan steps are named by module, so the names must tell the files apart.
@@ -337,13 +322,6 @@ def chain_plan(metamodel_path, transformation_paths, initial_spec, require, forb
     forbidden = frozenset().union(*(_concept_set(s, mm, "--forbid") for s in forbid))
     overlap = required & forbidden
     if overlap:
-        _fail(f"--require and --forbid overlap: {_set_text(overlap, mm)}", 1)
+        _fail(f"--require and --forbid overlap: {', '.join(declaration_order(overlap, concrete_concepts(mm)))}", 1)
     plan = plan_chain(reports, initial, required, forbidden, max_len)
-    if plan is None:
-        return ["no plan\n"], 3
-    lines = [f"plan: {len(plan.steps)} step(s)"]
-    for i, step in enumerate(plan.steps, start=1):
-        lines.append(f"step {i}: {step.transformation}")
-        lines.extend(f"  warning: {w}" for w in step.warnings)
-    lines.append(f"final: {_set_text(plan.final_set, mm)}")
-    return ["\n".join(lines) + "\n"], 0
+    return [chain_text(plan, concrete_concepts(mm), verdicts=False)], 3 if plan is None else 0

@@ -192,13 +192,13 @@ def test_criterion_5_chain_validation(reports, pivot):
     full = frozenset(concrete_concepts(pivot))
     plan = check_chain(full, [reports["recordRemoval"]])
     assert not plan.goal_met
-    assert not plan.steps[0].valid
+    assert plan.steps[0].blocked == {"Class"}
 
     plan = check_chain(
         full, [reports["classInstantiation"], reports["recordRemoval"]]
     )
     assert plan.goal_met
-    assert all(s.valid for s in plan.steps)
+    assert [s.blocked for s in plan.steps] == [frozenset(), frozenset()]
 
 
 @pytest.mark.criterion(6)

@@ -22,7 +22,7 @@ RECORD_SHAPES = {
     ),
     "Binding": (("feature", "value"), {}),
     "ChainPlan": (("initial_set", "steps", "goal_met"), {}),
-    "ChainStep": (("transformation", "input_set", "output_set", "valid", "warnings"), {"warnings": ()}),
+    "ChainStep": (("transformation", "input_set", "output_set", "blocked", "warnings"), {"warnings": ()}),
     "Concept": (("name", "abstract", "supertypes", "features"), {"abstract": False, "supertypes": (), "features": ()}),
     "ConceptProfile": (
         ("copy_modes", "mutation_modes", "produced_as"),

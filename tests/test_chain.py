@@ -64,14 +64,14 @@ def test_record_removal_alone_is_invalid_from_full(reports, full):
     assert not plan.goal_met
     step = plan.steps[0]
     assert step.transformation == "recordRemoval"
-    assert not step.valid
+    assert step.blocked == {"Class"}
     assert step.input_set == full
 
 
 def test_prefixed_chain_is_valid(reports, full):
     plan = check_chain(full, [reports["classInstantiation"], reports["recordRemoval"]])
     assert plan.goal_met
-    assert [s.valid for s in plan.steps] == [True, True]
+    assert [s.blocked for s in plan.steps] == [frozenset(), frozenset()]
     assert plan.steps[0].output_set == full - {"Class"}
     assert plan.final_set == full - {"Class", "Record"}
 
@@ -305,9 +305,28 @@ def _random_library(rng):
     return names, library
 
 
+def _check_in_library_order(library, initial):
+    """`check_chain` over `library` as drawn, against `naive_propagate`: each step is blocked by its
+    input outside its refined domain, and the goal is met when every input lies inside its step's.
+    Returns the goal's verdict, or None when adjacent steps disagree on the metamodel."""
+    if any(a.target_mm != b.source_mm for a, b in zip(library, library[1:])):
+        with pytest.raises(ChainCompatibilityError):
+            check_chain(initial, library)
+        return None
+    plan = check_chain(initial, library)
+    s, met = frozenset(initial), True
+    for step, report in zip(plan.steps, library, strict=True):
+        assert (step.input_set, step.blocked) == (s, s - report.refined_domain)
+        met &= s <= report.refined_domain
+        s = naive_propagate(s, report)
+        assert step.output_set == s
+    assert plan.goal_met == met
+    return met
+
+
 def test_plan_matches_the_reference_search_on_random_libraries(queues):
     rng = random.Random(25250)
-    found = {"none": 0, "held": 0, "long": 0, "warned": 0, "kept": 0}
+    found = {"none": 0, "held": 0, "long": 0, "warned": 0, "kept": 0, "met": 0, "blocked": 0, "mismatched": 0}
     for _ in range(400):
         names, library = _random_library(rng)
         # Mostly inside some step's refined domain, so that a first step is valid.
@@ -325,6 +344,8 @@ def test_plan_matches_the_reference_search_on_random_libraries(queues):
             forbidden |= {rng.choice(always)}
         if rng.random() < 0.1:  # a goal that already holds
             required, forbidden = frozenset(), frozenset(c for c in names if c not in initial)
+        met = _check_in_library_order(library, initial)
+        found["mismatched" if met is None else "met" if met else "blocked"] += 1
         max_len = rng.randint(0, 5)
         searched = queues[0]
         plan = plan_chain(library, initial, required, forbidden, max_len)
@@ -336,5 +357,5 @@ def test_plan_matches_the_reference_search_on_random_libraries(queues):
         found["held"] += plan is not None and not plan.steps
         found["long"] += plan is not None and len(plan.steps) >= 2
         found["warned"] += plan is not None and any(s.warnings for s in plan.steps)
-    # Every outcome the search can have is drawn, and so is a forbidden concept no step removes.
+    # Every outcome the search and the check can have is drawn, and so is a forbidden concept no step removes.
     assert min(found.values()) >= 3, found

@@ -679,6 +679,12 @@ def test_each_command_loads_only_the_layers_it_runs(corpus_args, command, layers
         assert banned == banned_expected
 
 
+def test_cli_holds_no_chain_text():
+    # Both chain commands print what `chain.chain_text` writes, so a chain line is spelled once.
+    source = Path(xformlens.cli.__file__).read_text(encoding="utf-8")
+    assert [t for t in ("VALID", "outside refined domain", "warning: ", "final: ", "no plan") if t in source] == []
+
+
 def test_importing_the_package_loads_no_submodule():
     proc = subprocess.run(
         [sys.executable, "-S", "-c", f"import sys, xformlens\n{_LOADED}"],

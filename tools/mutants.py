@@ -98,8 +98,9 @@ MUTANTS = [
     # Chains.
     (f"{PKG}/chain.py", "if profile.copy_modes:", "if not profile.mutation_modes:",
      "propagate keeps concepts no rule copies"),
-    (f"{PKG}/chain.py", "sets[i] <= report.refined_domain,", "sets[i + 1] <= report.refined_domain,",
-     "step validity judged on the step's output"),
+    # Killed by test_record_removal_alone_is_invalid_from_full and test_criterion_5_chain_validation.
+    (f"{PKG}/chain.py", "sets[i] - report.refined_domain,", "sets[i + 1] - report.refined_domain,",
+     "a step's blocked set taken from the step's output"),
     (f"{PKG}/chain.py", "declaration_order(sets[i + 1] - sets[i],", "declaration_order(sets[i + 1],",
      "a concept that passes through counts as introduced"),
     (f"{PKG}/chain.py",
@@ -134,6 +135,9 @@ MUTANTS = [
     # test_plan_matches_the_reference_search_on_random_libraries.
     (f"{PKG}/chain.py", "if p and (p.copy_modes or c in p.produced_as):", "if p and p.copy_modes:",
      "the proof misses a concept that a step mutates into itself"),
+    # Chain text. Killed by test_cli.py's test_chain_check_reports_invalid_step.
+    (f"{PKG}/chain.py", "outside refined domain: {names(step.blocked)}", "outside refined domain: {names(step.input_set)}",
+     "an INVALID step lists its whole input, not what blocked it"),
     # Tables and lexer.
     (f"{PKG}/report.py", "if len(top) == 1:", "if top:",
      "a size tie still collapses one group to ALL OTHER"),
